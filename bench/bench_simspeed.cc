@@ -25,10 +25,13 @@
  *   bench_simspeed --json          JSON document on stdout
  *   bench_simspeed --cache-dir=D   result store ('none' disables;
  *                                  default: SAVE_CACHE_DIR env)
- *   bench_simspeed --check F       also compare uops/s against the
- *                                  baseline JSON at F; exit 1 if any
- *                                  benchmark regressed by more than 20%
- *                                  (tolerance for shared-runner noise).
+ *   bench_simspeed --check F       also compare against the baseline
+ *                                  JSON at F; exit 1 if any benchmark's
+ *                                  uops/s regressed by more than 20%
+ *                                  (tolerance for shared-runner noise),
+ *                                  any of sim_cycles / ff_jumps /
+ *                                  ff_cycles_skipped differs at all, or
+ *                                  allocs_per_cycle rose.
  */
 
 #include <atomic>
@@ -119,12 +122,16 @@ runOnce(const SaveConfig &scfg, const GemmConfig &g)
     // Content address: the fast-forward toggle changes the ff counters
     // (not the simulated result), so it salts the config digest to
     // keep the _noff row's cached counters separate.
+    // Only hashed when a store is enabled: the digest allocates, and
+    // the allocation-rate column should measure the simulator alone.
+    const bool use_store = g_store && g_store->enabled();
     const char *ff = std::getenv("SAVE_FASTFORWARD");
-    const CasKey key{casHashConfig(mc, scfg,
-                                   ff && ff[0] == '1' ? 1 : 0),
-                     casGemmWorkload(g, 1, 2)};
+    const CasKey key = use_store
+        ? CasKey{casHashConfig(mc, scfg, ff && ff[0] == '1' ? 1 : 0),
+                 casGemmWorkload(g, 1, 2)}
+        : CasKey{};
     CasValue v;
-    if (g_store && g_store->lookup(key, &v)) {
+    if (use_store && g_store->lookup(key, &v)) {
         RunResult r;
         r.cycles = v.cycles;
         for (const auto &[name, value] : v.stats) {
@@ -150,7 +157,7 @@ runOnce(const SaveConfig &scfg, const GemmConfig &g)
     r.uops = machine.aggregateStats().get("uops");
     r.ffJumps = machine.core(0).ffJumps();
     r.ffSkipped = machine.core(0).ffCyclesSkipped();
-    if (g_store) {
+    if (use_store) {
         v = CasValue{};
         v.timeNs = static_cast<double>(r.cycles); // no wall time here
         v.cycles = r.cycles;
@@ -311,9 +318,26 @@ printJson(const std::vector<BenchRow> &rows)
     std::printf("  ]\n}\n");
 }
 
-/** Minimal extraction of {"name": ..., "uops_per_sec": ...} pairs from
- *  a baseline JSON produced by --json (no general JSON parsing). */
-std::vector<std::pair<std::string, double>>
+/** One baseline row: the name plus every numeric "key": value field. */
+struct BaselineRow
+{
+    std::string name;
+    std::vector<std::pair<std::string, double>> fields;
+
+    /** Field value, or NaN when the baseline does not record it. */
+    double
+    get(const std::string &key) const
+    {
+        for (const auto &[k, v] : fields)
+            if (k == key)
+                return v;
+        return std::nan("");
+    }
+};
+
+/** Minimal extraction of the flat per-benchmark objects of a baseline
+ *  JSON produced by --json (no general JSON parsing). */
+std::vector<BaselineRow>
 readBaseline(const std::string &path)
 {
     std::ifstream in(path);
@@ -325,28 +349,49 @@ readBaseline(const std::string &path)
     ss << in.rdbuf();
     std::string text = ss.str();
 
-    std::vector<std::pair<std::string, double>> out;
+    std::vector<BaselineRow> out;
     size_t pos = 0;
     const std::string kName = "\"name\": \"";
-    const std::string kRate = "\"uops_per_sec\": ";
     while ((pos = text.find(kName, pos)) != std::string::npos) {
         size_t nb = pos + kName.size();
         size_t ne = text.find('"', nb);
-        size_t rb = text.find(kRate, ne);
-        if (ne == std::string::npos || rb == std::string::npos)
+        size_t end = text.find('}', ne);
+        if (ne == std::string::npos || end == std::string::npos)
             break;
-        out.emplace_back(text.substr(nb, ne - nb),
-                         std::strtod(text.c_str() + rb + kRate.size(),
-                                     nullptr));
-        pos = rb;
+        BaselineRow row;
+        row.name = text.substr(nb, ne - nb);
+        // Every remaining `"key": number` up to the closing brace.
+        for (size_t k = text.find('"', ne + 1); k < end;
+             k = text.find('"', k + 1)) {
+            size_t ke = text.find('"', k + 1);
+            if (ke >= end || text.compare(ke + 1, 2, ": ") != 0)
+                break;
+            row.fields.emplace_back(
+                text.substr(k + 1, ke - k - 1),
+                std::strtod(text.c_str() + ke + 3, nullptr));
+            k = ke;
+        }
+        out.push_back(std::move(row));
+        pos = end;
     }
     return out;
 }
 
+/**
+ * Compare against the baseline. Throughput keeps its 20% tolerance
+ * for shared-runner noise; the deterministic counters (simulated
+ * cycles and fast-forward jumps/skips) must match exactly, and the
+ * allocation rate must not rise — those move only when the code
+ * does, never with host noise.
+ */
 int
 check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
 {
     constexpr double kTolerance = 0.20;
+    // Older baselines print allocs_per_cycle with six significant
+    // digits; a rise below that rounding is not a rise (one extra
+    // allocation per run is ~1e-4 here).
+    constexpr double kAllocRounding = 1e-5;
     auto baseline = readBaseline(baseline_path);
     if (baseline.empty()) {
         std::fprintf(stderr, "baseline %s has no benchmarks\n",
@@ -354,7 +399,8 @@ check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
         return 2;
     }
     int failures = 0;
-    for (const auto &[name, base_rate] : baseline) {
+    for (const BaselineRow &base : baseline) {
+        const std::string &name = base.name;
         const BenchRow *cur = nullptr;
         for (const BenchRow &r : rows)
             if (r.name == name)
@@ -365,6 +411,7 @@ check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
             ++failures;
             continue;
         }
+        double base_rate = base.get("uops_per_sec");
         double ratio = cur->uopsPerSec / base_rate;
         bool ok = ratio >= 1.0 - kTolerance;
         std::printf("%-5s %-36s %.0f uops/s vs baseline %.0f (%+.1f%%)\n",
@@ -372,6 +419,27 @@ check(const std::vector<BenchRow> &rows, const std::string &baseline_path)
                     base_rate, (ratio - 1.0) * 100.0);
         if (!ok)
             ++failures;
+
+        const std::pair<const char *, uint64_t> counters[] = {
+            {"sim_cycles", cur->simCycles},
+            {"ff_jumps", cur->ffJumps},
+            {"ff_cycles_skipped", cur->ffSkipped}};
+        for (const auto &[key, value] : counters) {
+            double want = base.get(key);
+            if (static_cast<double>(value) == want)
+                continue;
+            std::printf("FAIL  %-36s %s %llu vs baseline %.0f (exact)\n",
+                        name.c_str(), key,
+                        static_cast<unsigned long long>(value), want);
+            ++failures;
+        }
+        double base_allocs = base.get("allocs_per_cycle");
+        if (!(cur->allocsPerCycle <= base_allocs * (1.0 + kAllocRounding))) {
+            std::printf("FAIL  %-36s allocs_per_cycle %.6f rose above "
+                        "baseline %.6f\n",
+                        name.c_str(), cur->allocsPerCycle, base_allocs);
+            ++failures;
+        }
     }
     return failures == 0 ? 0 : 1;
 }

@@ -25,6 +25,40 @@
 
 namespace save {
 
+int
+VectorScheduler::newChain(int8_t rot)
+{
+    int id;
+    if (!free_chains_.empty()) {
+        id = free_chains_.back();
+        free_chains_.pop_back();
+    } else {
+        id = static_cast<int>(chains_.size());
+        chains_.emplace_back();
+    }
+    Chain &ch = chains_[static_cast<size_t>(id)];
+    ch.al = {};
+    ch.cursor = {};
+    ch.baseMask = 0;
+    ch.rot = rot;
+    // A new chain's front is the youngest VFMA so far: appending keeps
+    // the live list in frontSeq order.
+    live_chains_.push_back(id);
+    return id;
+}
+
+void
+VectorScheduler::clearChains()
+{
+    for (int id : live_chains_) {
+        Chain &ch = chains_[static_cast<size_t>(id)];
+        ch.nodes.clear();
+        ch.head = 0;
+        free_chains_.push_back(id);
+    }
+    live_chains_.clear();
+}
+
 void
 VectorScheduler::onVfmaAllocated(int rs_idx)
 {
@@ -41,42 +75,44 @@ VectorScheduler::onVfmaAllocated(int rs_idx)
     if (prod_idx >= 0 && prod_idx != rs_idx) {
         const RsEntry &prod = c_.rs.at(prod_idx);
         if (prod.valid && prod.uop.dst == e.uop.dst &&
-            prod.chainId >= 0 && chains_.count(prod.chainId)) {
+            prod.chainId >= 0 &&
+            chains_[static_cast<size_t>(prod.chainId)].live()) {
             chain_id = prod.chainId;
         }
     }
-    if (chain_id < 0) {
-        chain_id = next_chain_id_++;
-        Chain ch;
-        ch.rot = e.rot;
-        chains_.emplace(chain_id, std::move(ch));
-    }
+    if (chain_id < 0)
+        chain_id = newChain(e.rot);
     e.chainId = chain_id;
-    Chain &ch = chains_.at(chain_id);
+    Chain &ch = chains_[static_cast<size_t>(chain_id)];
+    if (ch.head > 0 && ch.nodes.size() == ch.nodes.capacity()) {
+        // Full buffer with trimmed space in front: compact instead of
+        // growing. Cursors never lag head, so they shift with it.
+        ch.nodes.erase(ch.nodes.begin(), ch.nodes.begin() + ch.head);
+        for (int &cur : ch.cursor)
+            cur -= ch.head;
+        ch.head = 0;
+    }
     ch.nodes.push_back({rs_idx, e.seq});
-    if (ch.nodes.size() == 1)
+    if (ch.end() - ch.head == 1)
         ch.frontSeq = e.seq;
-}
-
-void
-VectorScheduler::onEntryReleased(int rs_idx)
-{
-    (void)rs_idx; // chain nodes detect released entries by seq mismatch
 }
 
 void
 VectorScheduler::rebuildAfterSquash()
 {
-    if (!c_.scfg.enabled || !c_.scfg.mpCompress) {
-        chains_.clear();
+    clearChains();
+    if (!c_.scfg.enabled || !c_.scfg.mpCompress)
         return;
-    }
     // Discard partial results: any AL whose final value has not been
     // scheduled for writeback gets all of its effectual MLs back and
     // will be recomputed from the accumulator input (SecV-B).
-    for (int idx : c_.rs.order()) {
+    std::vector<int> order = c_.rs.order();
+    for (int idx : order) {
         RsEntry &e = c_.rs.at(idx);
-        if (!e.uop.isMixedPrecision() || !e.elmValid)
+        if (!e.uop.isMixedPrecision())
+            continue;
+        e.chainId = -1;
+        if (!e.elmValid)
             continue;
         for (int al = 0; al < kVecLanes; ++al) {
             if ((e.alScheduled >> al) & 1)
@@ -86,35 +122,20 @@ VectorScheduler::rebuildAfterSquash()
                 e.pendingMl |= al_mls;
         }
         e.pendingAl = mpAlMask(e.pendingMl);
-        e.chainId = -1;
     }
     // Rebuild the chain structures over the survivors, in age order,
     // using the surviving dst->RS links.
-    chains_.clear();
-    std::vector<int> order = c_.rs.order();
     for (int idx : order) {
-        RsEntry &e = c_.rs.at(idx);
-        if (e.uop.isMixedPrecision())
+        if (c_.rs.at(idx).uop.isMixedPrecision())
             onVfmaAllocated(idx);
     }
-}
-
-bool
-VectorScheduler::nodeConsumed(const ChainNode &n, int al) const
-{
-    const RsEntry &e = c_.rs.at(n.rsIdx);
-    if (!e.valid || e.seq != n.seq)
-        return true; // released: everything consumed
-    if (!e.elmValid)
-        return false;
-    return (e.pendingMl & (0x3u << (kMlPerAl * al))) == 0;
 }
 
 void
 VectorScheduler::advanceCursor(Chain &chain, int al)
 {
     int &cur = chain.cursor[static_cast<size_t>(al)];
-    while (cur < static_cast<int>(chain.nodes.size())) {
+    while (cur < chain.end()) {
         const ChainNode &n = chain.nodes[static_cast<size_t>(cur)];
         const RsEntry &e = c_.rs.at(n.rsIdx);
         bool stale = !e.valid || e.seq != n.seq;
@@ -128,26 +149,27 @@ VectorScheduler::advanceCursor(Chain &chain, int al)
     }
 }
 
-void
+bool
 VectorScheduler::trimChain(int chain_id)
 {
-    auto it = chains_.find(chain_id);
-    if (it == chains_.end())
-        return;
-    Chain &ch = it->second;
-    while (!ch.nodes.empty()) {
-        const ChainNode &n = ch.nodes.front();
+    Chain &ch = chains_[static_cast<size_t>(chain_id)];
+    while (ch.head < ch.end()) {
+        const ChainNode &n = ch.nodes[static_cast<size_t>(ch.head)];
         const RsEntry &e = c_.rs.at(n.rsIdx);
         if (e.valid && e.seq == n.seq)
             break;
-        ch.nodes.pop_front();
-        for (auto &cur : ch.cursor)
-            cur = std::max(0, cur - 1);
-        if (!ch.nodes.empty())
-            ch.frontSeq = ch.nodes.front().seq;
+        ++ch.head;
     }
-    if (ch.nodes.empty())
-        chains_.erase(it);
+    if (ch.head == ch.end()) {
+        ch.nodes.clear();
+        ch.head = 0;
+        free_chains_.push_back(chain_id);
+        return false;
+    }
+    for (int &cur : ch.cursor)
+        cur = std::max(cur, ch.head);
+    ch.frontSeq = ch.nodes[static_cast<size_t>(ch.head)].seq;
+    return true;
 }
 
 uint64_t
@@ -158,74 +180,72 @@ VectorScheduler::nextTimeWake(uint64_t now) const
     // passing; everything else the scheduler waits on arrives through
     // a publish/completion event the core already tracks.
     uint64_t best = kNeverCycle;
-    for (const auto &[id, ch] : chains_) {
-        (void)id;
-        for (const ChainAl &ca : ch.al) {
+    for (int id : live_chains_) {
+        const Chain &ch = chains_[static_cast<size_t>(id)];
+        for (uint16_t m = ch.baseMask; m;) {
+            const ChainAl &ca = ch.al[static_cast<size_t>(lowestSetBit(m))];
+            m &= static_cast<uint16_t>(m - 1);
             // >= not >: wakeHorizon probes with cycle_ already advanced
             // to the next un-executed cycle, so a forwarded result that
             // becomes ready exactly at `now` must pin the horizon here
             // (run() then steps normally instead of jumping past the
             // cycle where this AL schedules).
-            if (ca.init && ca.readyCycle >= now && ca.readyCycle < best)
+            if (ca.readyCycle >= now && ca.readyCycle < best)
                 best = ca.readyCycle;
         }
     }
     return best;
 }
 
-void
+bool
 VectorScheduler::scheduleChainAl(Chain &chain, int al)
 {
-    ChainAl &ca = chain.al[static_cast<size_t>(al)];
-    if (ca.init && ca.readyCycle > c_.now())
-        return; // waiting on the forwarded partial result (fast path:
-                // skips the cursor walk; advanceCursor is idempotent)
-
-    // Claim-availability precheck: in a saturated cycle most calls die
+    // The caller only passes ALs whose rotated temp position is still
+    // claimable (mpFreeLanes): in a saturated cycle most ALs would die
     // at claimSlot below, after paying for the cursor walk and the
-    // readiness probes. The target temp position is known without the
-    // cursor, so test it first. Everything the skipped prefix would
-    // have updated (cursor advance, chain-base capture) is a pure
-    // cache whose deferral is invisible: the accumulator lane value is
-    // stable once published, and a cycle with every temp claimed
-    // always issues them (activity), so the fast-forward horizon never
-    // sees the deferred init.
-    int temp_lane = (al + chain.rot + kVecLanes) % kVecLanes;
-    if (!slotAvailable(temp_lane, 1))
-        return;
+    // readiness probes. Everything the skipped work would have updated
+    // (cursor advance, chain-base capture) is a pure cache whose
+    // deferral is invisible: the accumulator lane value is stable once
+    // published, and a cycle with every temp claimed always issues
+    // them (activity), so the fast-forward horizon never sees the
+    // deferred init.
+    ChainAl &ca = chain.al[static_cast<size_t>(al)];
+    const bool has_base = (chain.baseMask >> al) & 1;
+    SAVE_ASSERT(!has_base || ca.readyCycle <= c_.now(),
+                "chain AL scheduled while its forward is in flight");
 
     advanceCursor(chain, al);
     int &cursor = chain.cursor[static_cast<size_t>(al)];
-    if (cursor >= static_cast<int>(chain.nodes.size()))
-        return;
+    if (cursor >= chain.end())
+        return false;
 
     const ChainNode &front = chain.nodes[static_cast<size_t>(cursor)];
     RsEntry &e = c_.rs.at(front.rsIdx);
     SAVE_ASSERT(e.valid && e.seq == front.seq, "cursor on stale node");
     if (!e.elmValid)
-        return;
+        return false;
     if (!e.aReady || !e.bReady)
-        return;
+        return false;
 
-    if (!ca.init) {
+    if (!has_base) {
         // Chain base: the accumulator input of the cursor node, read
         // from the register file once its lane has been published.
         if (!c_.prf.laneIsReady(e.pc, al))
-            return;
+            return false;
         ca.value = c_.prf.value(e.pc).f32(al);
         ca.readyCycle = c_.now();
-        ca.init = true;
+        chain.baseMask |= static_cast<uint16_t>(1u << al);
     }
 
+    int temp_lane = (al + chain.rot + kVecLanes) % kVecLanes;
     int vpu = claimSlot(temp_lane, 1, false);
-    if (vpu < 0)
-        return;
+    SAVE_ASSERT(vpu >= 0, "mp temp lane ", temp_lane,
+                " offered as free but unclaimable");
 
     float v = ca.value;
     int taken = 0;
     int cur = cursor;
-    while (taken < kMlPerAl &&
-           cur < static_cast<int>(chain.nodes.size())) {
+    while (taken < kMlPerAl && cur < chain.end()) {
         const ChainNode &n = chain.nodes[static_cast<size_t>(cur)];
         RsEntry &e2 = c_.rs.at(n.rsIdx);
         if (!e2.valid || e2.seq != n.seq) {
@@ -281,28 +301,38 @@ VectorScheduler::scheduleChainAl(Chain &chain, int al)
     st_mp_mls_issued_.add(taken);
     if (c_.etrace_)
         c_.etrace_->chainMl(c_.now(), front.seq, al, vpu, taken);
+    return true;
+}
+
+uint16_t
+VectorScheduler::mpFreeLanes() const
+{
+    uint16_t free = 0;
+    for (const Temp &t : temps_) {
+        if (t.type == -1)
+            return 0xffffu;
+        if (t.type == 1 && !t.hc)
+            free |= static_cast<uint16_t>(~t.lanesUsed);
+    }
+    return free;
 }
 
 void
 VectorScheduler::scheduleChains()
 {
-    if (chains_.empty())
+    if (live_chains_.empty())
         return;
 
-    // Oldest chain first (front-entry program order).
-    chain_order_.clear();
-    for (auto &[id, ch] : chains_)
-        chain_order_.emplace_back(ch.frontSeq, id);
-    std::sort(chain_order_.begin(), chain_order_.end());
-
-    for (auto &[seq, id] : chain_order_) {
-        (void)seq;
+    // Oldest chain first (front-entry program order): live_chains_ is
+    // kept in frontSeq order, so no per-cycle sort.
+    const uint64_t now = c_.now();
+    uint16_t free = mpFreeLanes();
+    for (int id : live_chains_) {
         // Once every temp is claimed and type-1 positions are all
-        // taken, no remaining chain AL can schedule this cycle; every
-        // skipped call would have failed its claim precheck.
-        if (!mpCapacityLeft())
+        // taken, no remaining chain AL can schedule this cycle.
+        if (!free)
             break;
-        Chain &ch = chains_.at(id);
+        Chain &ch = chains_[static_cast<size_t>(id)];
         // Union of pending effectual MLs over the chain's live nodes:
         // an AL with no bit anywhere can schedule nothing this cycle
         // (its cursor either runs to the end or parks on a node whose
@@ -310,21 +340,73 @@ VectorScheduler::scheduleChains()
         // union pay the per-AL cursor walk. One sequential O(nodes)
         // scan replaces sixteen of them.
         uint32_t pending_union = 0;
-        for (const ChainNode &n : ch.nodes) {
+        for (int i = ch.head; i < ch.end(); ++i) {
+            const ChainNode &n = ch.nodes[static_cast<size_t>(i)];
             const RsEntry &e = c_.rs.at(n.rsIdx);
             if (e.valid && e.seq == n.seq)
                 pending_union |= e.pendingMl;
         }
-        for (uint16_t m = mpAlMask(pending_union); m;) {
+        // ALs without a base whose front node still has work at the
+        // AL (so the cursor cannot have moved past it) wait for that
+        // node's accumulator input lane to be published: skipped
+        // without a call, which would return before touching state.
+        uint16_t no_base = 0;
+        {
+            const ChainNode &n = ch.nodes[static_cast<size_t>(ch.head)];
+            const RsEntry &e = c_.rs.at(n.rsIdx);
+            if (e.valid && e.seq == n.seq && e.elmValid)
+                no_base = static_cast<uint16_t>(
+                    ~ch.baseMask & mpAlMask(e.pendingMl) &
+                    ~c_.prf.laneReady(e.pc));
+        }
+        // AL al lands on temp lane (al + rot) mod 16: rotate the free
+        // mask into AL space and visit only claimable ALs. A claim
+        // only ever removes free lanes, so the mask is refreshed after
+        // each one and never has to grow back.
+        const int shift = (ch.rot + kVecLanes) % kVecLanes;
+        auto claimable = [&] {
+            uint32_t f = free;
+            return static_cast<uint16_t>((f >> shift) |
+                                         (f << (kVecLanes - shift)));
+        };
+        uint16_t m = mpAlMask(pending_union) & ~no_base & claimable();
+        while (m) {
             int al = lowestSetBit(m);
             m &= static_cast<uint16_t>(m - 1);
-            scheduleChainAl(ch, al);
+            if (((ch.baseMask >> al) & 1) &&
+                ch.al[static_cast<size_t>(al)].readyCycle > now)
+                continue; // waiting on the forwarded partial result
+                          // (skips the cursor walk; advanceCursor is
+                          // idempotent)
+            if (scheduleChainAl(ch, al)) {
+                free = mpFreeLanes();
+                m &= claimable();
+            }
         }
     }
-    for (auto &[seq, id] : chain_order_) {
-        (void)seq;
-        trimChain(id);
+
+    // Trim every live chain, drop the exhausted ones, and restore the
+    // frontSeq order. A trim only raises a chain's frontSeq, so one
+    // insertion pass over the nearly-sorted list suffices.
+    size_t kept = 0;
+    for (size_t i = 0; i < live_chains_.size(); ++i) {
+        int id = live_chains_[i];
+        const Chain &ch = chains_[static_cast<size_t>(id)];
+        const ChainNode &front = ch.nodes[static_cast<size_t>(ch.head)];
+        const RsEntry &fe = c_.rs.at(front.rsIdx);
+        if (!(fe.valid && fe.seq == front.seq) && !trimChain(id))
+            continue; // exhausted: back on the free list
+        const uint64_t seq = chains_[static_cast<size_t>(id)].frontSeq;
+        size_t j = kept++;
+        while (j > 0 &&
+               chains_[static_cast<size_t>(live_chains_[j - 1])].frontSeq >
+                   seq) {
+            live_chains_[j] = live_chains_[j - 1];
+            --j;
+        }
+        live_chains_[j] = id;
     }
+    live_chains_.resize(kept);
 }
 
 } // namespace save

@@ -66,32 +66,6 @@ VectorScheduler::claimSlot(int lane, int type, bool hc)
 }
 
 bool
-VectorScheduler::slotAvailable(int lane, int type) const
-{
-    for (const Temp &t : temps_) {
-        if (t.type == -1)
-            return true;
-        if (t.type != type || t.hc)
-            continue;
-        if (!((t.lanesUsed >> lane) & 1))
-            return true;
-    }
-    return false;
-}
-
-bool
-VectorScheduler::mpCapacityLeft() const
-{
-    for (const Temp &t : temps_) {
-        if (t.type == -1)
-            return true;
-        if (t.type == 1 && !t.hc && t.lanesUsed != 0xffffu)
-            return true;
-    }
-    return false;
-}
-
-bool
 VectorScheduler::positionalCapacityLeft() const
 {
     for (const Temp &t : temps_) {
@@ -103,7 +77,7 @@ VectorScheduler::positionalCapacityLeft() const
     return false;
 }
 
-void
+int
 VectorScheduler::passThrough()
 {
     // Lanes whose product is ineffectual forward the accumulator input
@@ -112,34 +86,47 @@ VectorScheduler::passThrough()
     // from the RS without issuing).
     // Only post-ELM entries can have pass lanes; capture the list
     // successor first since maybeRelease unlinks the current entry.
-    for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;) {
-        int nxt = c_.rs.nextInList(idx);
+    //
+    // The same walk counts the combination window (paper SecIII): the
+    // *ready* VFMAs — all operands including the full accumulator
+    // available — bounded by the number of accumulator registers,
+    // since same-accumulator VFMAs carry a true dependence ("often
+    // 24-28" for a large GEMM). Candidates all carry an ELM
+    // (readiness implies the MGU ran), so the issuable sublist
+    // suffices. Counting an entry right after its own pass-through is
+    // exact: publishes land at now+1 (no ready mask moves this cycle)
+    // and an entry released here has no pending lanes left.
+    int cw = 0;
+    for (int idx = c_.rs.firstIssuable(), nxt; idx != Rs::kEnd;
+         idx = nxt) {
+        nxt = c_.rs.nextInList(idx);
         RsEntry &e = c_.rs.at(idx);
-        if (!e.passPending) {
-            idx = nxt;
-            continue;
+        if (e.passPending) {
+            uint16_t avail = e.passPending & c_.prf.laneReady(e.pc);
+            if (!c_.scfg.laneWiseDep && !c_.prf.fullyReady(e.pc))
+                avail = 0;
+            if (avail) {
+                const VecReg &cval = c_.prf.value(e.pc);
+                for (uint16_t m = avail; m;) {
+                    int lane = lowestSetBit(m);
+                    m &= static_cast<uint16_t>(m - 1);
+                    c_.schedulePublish(e.dstPhys, lane, cval.f32(lane),
+                                       e.robIdx, c_.now() + 1);
+                }
+                st_passthrough_lanes_.add(popcount(avail));
+                if (c_.etrace_)
+                    c_.etrace_->passLanes(c_.now(), e.seq, avail);
+                e.passPending &= static_cast<uint16_t>(~avail);
+                maybeRelease(idx);
+                if (!e.valid)
+                    continue;
+            }
         }
-        uint16_t avail = e.passPending & c_.prf.laneReady(e.pc);
-        if (!c_.scfg.laneWiseDep && !c_.prf.fullyReady(e.pc))
-            avail = 0;
-        if (!avail) {
-            idx = nxt;
-            continue;
-        }
-        const VecReg &cval = c_.prf.value(e.pc);
-        for (uint16_t m = avail; m;) {
-            int lane = lowestSetBit(m);
-            m &= static_cast<uint16_t>(m - 1);
-            c_.schedulePublish(e.dstPhys, lane, cval.f32(lane), e.robIdx,
-                               c_.now() + 1);
-        }
-        st_passthrough_lanes_.add(popcount(avail));
-        if (c_.etrace_)
-            c_.etrace_->passLanes(c_.now(), e.seq, avail);
-        e.passPending &= static_cast<uint16_t>(~avail);
-        maybeRelease(idx);
-        idx = nxt;
+        if (e.aReady && e.bReady && (e.pendingAl || e.pendingMl) &&
+            c_.prf.fullyReady(e.pc))
+            ++cw;
     }
+    return cw;
 }
 
 void
@@ -425,31 +412,22 @@ VectorScheduler::step()
         return;
     }
 
-    passThrough();
-
-    // Combination-window size (paper SecIII): the *ready* VFMAs — all
-    // operands including the full accumulator available — bounded by
-    // the number of accumulator registers, since same-accumulator
-    // VFMAs carry a true dependence ("often 24-28" for a large GEMM).
-    // Candidates all carry an ELM (readiness implies the MGU ran), so
-    // scanning the issuable sublist suffices.
-    int cw = 0;
-    for (int idx = c_.rs.firstIssuable(); idx != Rs::kEnd;
-         idx = c_.rs.nextInList(idx)) {
-        const RsEntry &e = c_.rs.at(idx);
-        if (e.aReady && e.bReady && (e.pendingAl || e.pendingMl) &&
-            c_.prf.fullyReady(e.pc)) {
-            ++cw;
-        }
-    }
+    int cw = passThrough();
     if (cw > 0) {
         c_.st_cw_sum_.add(cw);
         c_.st_cw_cycles_.add();
         c_.fx_cw_ = cw;
     }
 
-    if (c_.scfg.mpCompress)
+    if (c_.scfg.mpCompress) {
         scheduleChains();
+        // The coalesced/HC walks skip every entry the chain path owns;
+        // with nothing else issuable they would visit and skip all.
+        if (c_.rs.issuableCount() == c_.rs.issuableMpCount()) {
+            issueTemps();
+            return;
+        }
+    }
     if (c_.scfg.policy == SchedPolicy::HC)
         scheduleHc();
     else

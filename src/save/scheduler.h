@@ -24,7 +24,10 @@
  * list (or, under the baseline policy, the pending list, which is
  * then the full age order) — and operand readiness comes from the
  * writeback-wakeup flags, so no per-cycle full-RS polling remains.
- * The per-cycle temps are fixed-capacity members: steady-state
+ * Pass-through and the combination-window count share one walk of
+ * that list, and the coalesced/HC walk is skipped when the chain path
+ * owns every issuable entry. The per-cycle temps are fixed-capacity
+ * members and the chains live in a recycled slab: steady-state
  * scheduling performs no heap allocation.
  */
 
@@ -33,9 +36,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "isa/vec.h"
@@ -60,11 +60,8 @@ class VectorScheduler
     /** Hook: a VFMA entered the RS (links mixed-precision chains). */
     void onVfmaAllocated(int rs_idx);
 
-    /** Hook: an RS slot was released. */
-    void onEntryReleased(int rs_idx);
-
     /** True when no chain work remains (drain check). */
-    bool idle() const { return chains_.empty(); }
+    bool idle() const { return live_chains_.empty(); }
 
     /**
      * Earliest cycle after now at which a blocked mixed-precision
@@ -108,20 +105,13 @@ class VectorScheduler
      */
     int claimSlot(int lane, int type, bool hc);
 
-    /** Would claimSlot(lane, type, false) succeed right now? Pure
-     *  probe: no temp state is touched. */
-    bool slotAvailable(int lane, int type) const;
-
-    /** True while any temp could still take a positional
-     *  mixed-precision lane this cycle (free temp, or a non-full
-     *  type-1 temp). */
-    bool mpCapacityLeft() const;
-
     /** True while any temp could still take a positional lane of some
      *  type (free temp, or any non-full non-HC temp). */
     bool positionalCapacityLeft() const;
 
-    void passThrough();
+    /** Pass-through publish; returns the combination-window size
+     *  counted over the same issuable-list walk. */
+    int passThrough();
     void scheduleBaseline();
     void scheduleCoalesced();
     void scheduleHc();
@@ -132,11 +122,12 @@ class VectorScheduler
 
     /** Mixed-precision chain path (mp_scheduler.cc). ---------------- */
 
+    /** Running partial result of one chain AL; valid once the AL's
+     *  bit is set in Chain::baseMask. */
     struct ChainAl
     {
         float value = 0.0f;
         uint64_t readyCycle = 0;
-        bool init = false;
     };
 
     struct ChainNode
@@ -145,32 +136,60 @@ class VectorScheduler
         uint64_t seq;
     };
 
+    /**
+     * One accumulator chain, a slot of the chain slab. The live nodes
+     * are nodes[head, nodes.size()) in program order; trimming only
+     * advances head, and the buffer is compacted when an append finds
+     * it full, so its capacity survives trims and id reuse. Cursors
+     * index nodes directly and always lie in [head, nodes.size()].
+     */
     struct Chain
     {
-        std::deque<ChainNode> nodes;
+        std::vector<ChainNode> nodes;
+        int head = 0;
         std::array<ChainAl, kVecLanes> al{};
         std::array<int, kVecLanes> cursor{};
+        /** ALs whose chain base (accumulator input) has been read. */
+        uint16_t baseMask = 0;
         int8_t rot = 0;
         uint64_t frontSeq = 0;
+
+        int end() const { return static_cast<int>(nodes.size()); }
+        /** Live chains hold nodes; free slab slots hold none. */
+        bool live() const { return head < end(); }
     };
 
     void scheduleChains();
-    void scheduleChainAl(Chain &chain, int al);
+    /** @return true if the AL claimed a temp slot. */
+    bool scheduleChainAl(Chain &chain, int al);
     /** Advance an AL cursor over consumed/ineffectual nodes. */
     void advanceCursor(Chain &chain, int al);
-    /** Drop fully-passed front nodes; erase exhausted chains. */
-    void trimChain(int chain_id);
-    bool nodeConsumed(const ChainNode &n, int al) const;
+    /** Drop released front nodes; free the chain once exhausted.
+     *  @return true while the chain is still live. */
+    bool trimChain(int chain_id);
+    /** Take a slab slot (recycled if possible) for a new chain. */
+    int newChain(int8_t rot);
+    /** Return every live chain to the free list. */
+    void clearChains();
+    /** Temp lanes a mixed-precision positional lane could still claim
+     *  this cycle (bit l set iff claimSlot(l, 1, false) would succeed;
+     *  zero once no type-1 capacity is left). Pure probe. */
+    uint16_t mpFreeLanes() const;
 
     friend class Auditor;
 
     Core &c_;
-    std::unordered_map<int, Chain> chains_;
-    int next_chain_id_ = 0;
+    /** Chain slab indexed by chain id; ids are recycled via
+     *  free_chains_. */
+    std::vector<Chain> chains_;
+    std::vector<int> free_chains_;
+    /** Live chain ids, oldest front first (strictly ascending
+     *  frontSeq). New chains append; trims re-sort in one insertion
+     *  pass. */
+    std::vector<int> live_chains_;
 
     /** Reusable per-cycle scratch (no steady-state allocation). */
     std::vector<Temp> temps_;
-    std::vector<std::pair<uint64_t, int>> chain_order_;
 
     StatRef st_passthrough_lanes_;
     StatRef st_baseline_issues_;

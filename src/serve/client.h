@@ -5,11 +5,11 @@
  * progress frames, and return the terminal SRES/SERR/SBSY as a typed
  * Reply. `save-ctl` and the serve tests are the two users.
  *
- * Failure policy mirrors the rest of the harness: connection refusal,
- * timeouts, and protocol corruption throw SimError/TraceError with
- * actionable messages (never a hang — every read is
- * deadline-bounded); an overloaded daemon is NOT an exception but a
- * Reply::Kind::Busy, because load-shedding is an expected answer.
+ * Failure policy mirrors the rest of the harness: connection refusal
+ * (ServeUnreachable), timeouts, and protocol corruption throw
+ * SimError/TraceError with actionable messages (never a hang — every
+ * read is deadline-bounded); an overloaded daemon is NOT an exception
+ * but a Reply::Kind::Busy, because load-shedding is an expected answer.
  */
 
 #ifndef SAVE_SERVE_CLIENT_H
@@ -19,8 +19,17 @@
 #include <string>
 
 #include "serve/protocol.h"
+#include "util/error.h"
 
 namespace save {
+
+/** The daemon socket refused the connection: the request never
+ *  reached a daemon, so the caller may retry it elsewhere for free. */
+class ServeUnreachable : public SimError
+{
+  public:
+    using SimError::SimError;
+};
 
 class ServeClient
 {

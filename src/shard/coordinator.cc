@@ -336,6 +336,14 @@ ShardCoordinator::daemonLane(const std::string &socket)
                     if (acked.find(idx) == acked.end())
                         requeue(idx);
             }
+        } catch (const ServeUnreachable &e) {
+            // The batch never reached a daemon: hand it back unworked
+            // like Busy (no attempt charged), but count the fault so a
+            // dead daemon is still excluded after kMaxBackendFaults.
+            for (uint32_t idx : got)
+                requeue(idx);
+            ++consecutive;
+            fault = socket + ": " + e.what();
         } catch (const std::exception &e) {
             faulted = true;
             fault = socket + ": " + e.what();

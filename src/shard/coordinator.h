@@ -30,13 +30,17 @@
  * granularity):
  *  - ConfigError (local or a remote Config-kind SERR) is fatal: the
  *    sweep itself is misconfigured, every backend would fail alike;
+ *  - a load-shed (Busy) reply or a refused connection (the batch
+ *    never reached a daemon) hands the points back without charging
+ *    an attempt;
  *  - any other failure re-queues the unfinished points, with a
  *    bounded per-point dispatch budget (`maxAttempts`); past it the
  *    point is recorded as a permanent failure and yields a
  *    value-initialized result, exactly like the single-host
  *    SweepRunner, so the rest of the sweep still completes;
  *  - a daemon that fails `kMaxBackendFaults` consecutive dispatches
- *    (or speaks protocol v1 — no SSHD) is excluded with a warning:
+ *    (faults, Busy replies and refused connections all count), or
+ *    that speaks protocol v1 (no SSHD), is excluded with a warning:
  *    graceful degradation to the remaining backends;
  *  - a straggler (a dispatched point older than `stragglerMs`) is
  *    speculatively re-dispatched to any idle backend; the first

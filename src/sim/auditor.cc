@@ -136,6 +136,7 @@ Auditor::checkRsLists() const
     }
     // The pending/issuable sublists partition the age list, each
     // age-ordered, with membership decided exactly by elmValid.
+    int issuable_mp = 0;
     for (int list = 0; list < 2; ++list) {
         int count = 0;
         prev_seq = 0;
@@ -159,6 +160,8 @@ Auditor::checkRsLists() const
                      std::to_string(idx));
             prev_seq = e.seq;
             ++count;
+            if (list == 1 && e.uop.isMixedPrecision())
+                ++issuable_mp;
         }
         int expect = list == 0 ? rs.pendingCount() : rs.issuableCount();
         if (count != expect)
@@ -172,6 +175,10 @@ Auditor::checkRsLists() const
     }
     if (rs.pendingCount() + rs.issuableCount() != rs.size())
         fail("RS sublist sizes do not sum to the RS size");
+    if (issuable_mp != rs.issuableMpCount())
+        fail("RS issuable mixed-precision count " +
+             std::to_string(rs.issuableMpCount()) + " != " +
+             std::to_string(issuable_mp) + " on the sublist");
 }
 
 void
@@ -658,34 +665,62 @@ Auditor::checkChains() const
     bool chain_mode = c_.scfg.enabled && c_.scfg.mpCompress &&
                       c_.scfg.policy != SchedPolicy::Baseline;
     if (!chain_mode) {
-        if (!s.chains_.empty())
+        if (!s.live_chains_.empty())
             fail("accumulator chains exist without mixed-precision "
                  "compression");
         return;
     }
+    // Slab bookkeeping: the live list and the free list partition the
+    // slab, and the live list is strictly frontSeq-ordered (the select
+    // walks it as the oldest-chain-first priority without sorting).
+    const int slab = static_cast<int>(s.chains_.size());
+    int live = 0;
+    for (const auto &ch : s.chains_)
+        live += ch.live();
+    if (live != static_cast<int>(s.live_chains_.size()) ||
+        live + static_cast<int>(s.free_chains_.size()) != slab)
+        fail("chain slab of " + std::to_string(slab) + " holds " +
+             std::to_string(live) + " live chain(s), but the live list "
+             "has " + std::to_string(s.live_chains_.size()) +
+             " and the free list " +
+             std::to_string(s.free_chains_.size()));
+    for (int id : s.free_chains_) {
+        if (id < 0 || id >= slab ||
+            s.chains_[static_cast<size_t>(id)].live())
+            fail("chain " + std::to_string(id) +
+                 " is on the free list but live");
+    }
     // Live RS entry -> owning chain, for the at-most-one-node check.
     std::fill(rs_mark_.begin(), rs_mark_.end(), 0);
-    for (const auto &[id, ch] : s.chains_) {
-        if (ch.nodes.empty())
-            fail("chain " + std::to_string(id) + " has no nodes");
-        if (ch.frontSeq != ch.nodes.front().seq)
+    uint64_t prev_front = 0;
+    for (size_t li = 0; li < s.live_chains_.size(); ++li) {
+        const int id = s.live_chains_[li];
+        if (id < 0 || id >= slab ||
+            !s.chains_[static_cast<size_t>(id)].live())
+            fail("live chain list names chain " + std::to_string(id) +
+                 ", which has no nodes");
+        const VectorScheduler::Chain &ch =
+            s.chains_[static_cast<size_t>(id)];
+        const auto &front = ch.nodes[static_cast<size_t>(ch.head)];
+        if (ch.frontSeq != front.seq)
             fail("chain " + std::to_string(id) +
                  " frontSeq out of date");
-        {
-            const auto &n = ch.nodes.front();
-            if (n.rsIdx < 0 || n.rsIdx >= rs.capacity() ||
-                !rs.at(n.rsIdx).valid || rs.at(n.rsIdx).seq != n.seq)
-                fail("chain " + std::to_string(id) +
-                     " front node is stale (untrimmed)");
-        }
+        if (li > 0 && ch.frontSeq <= prev_front)
+            fail("live chain list out of frontSeq order at chain " +
+                 std::to_string(id));
+        prev_front = ch.frontSeq;
+        if (front.rsIdx < 0 || front.rsIdx >= rs.capacity() ||
+            !rs.at(front.rsIdx).valid ||
+            rs.at(front.rsIdx).seq != front.seq)
+            fail("chain " + std::to_string(id) +
+                 " front node is stale (untrimmed)");
         uint64_t prev_seq = 0;
-        bool first = true;
-        for (const auto &n : ch.nodes) {
-            if (!first && n.seq <= prev_seq)
+        for (int i = ch.head; i < ch.end(); ++i) {
+            const auto &n = ch.nodes[static_cast<size_t>(i)];
+            if (i > ch.head && n.seq <= prev_seq)
                 fail("chain " + std::to_string(id) +
                      " nodes out of program order (cyclic forward)");
             prev_seq = n.seq;
-            first = false;
             if (n.rsIdx < 0 || n.rsIdx >= rs.capacity())
                 continue;
             const RsEntry &e = rs.at(n.rsIdx);
@@ -704,9 +739,11 @@ Auditor::checkChains() const
                      std::to_string(id));
         }
         for (int cur : ch.cursor) {
-            if (cur < 0 || cur > static_cast<int>(ch.nodes.size()))
-                fail("chain " + std::to_string(id) +
-                     " cursor out of range");
+            if (cur < ch.head || cur > ch.end())
+                fail("chain " + std::to_string(id) + " cursor " +
+                     std::to_string(cur) + " outside its live window [" +
+                     std::to_string(ch.head) + ", " +
+                     std::to_string(ch.end()) + "]");
         }
     }
     // Every live mixed-precision entry must be linked into exactly the
@@ -718,7 +755,8 @@ Auditor::checkChains() const
         if (e.chainId < 0)
             fail("mixed-precision entry seq " + std::to_string(e.seq) +
                  " has no accumulator chain");
-        if (!s.chains_.count(e.chainId))
+        if (e.chainId >= slab ||
+            !s.chains_[static_cast<size_t>(e.chainId)].live())
             fail("entry seq " + std::to_string(e.seq) +
                  " names erased chain " + std::to_string(e.chainId));
         if (!rs_mark_[static_cast<size_t>(idx)])

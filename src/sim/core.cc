@@ -198,7 +198,6 @@ Core::releaseEntry(int rs_idx)
     const RsEntry &e = rs.at(rs_idx);
     if (e.dstPhys != kNoReg)
         vfma_dst_to_rs_[static_cast<size_t>(e.dstPhys)] = -1;
-    sched_->onEntryReleased(rs_idx);
     rs.release(rs_idx);
 }
 

@@ -20,15 +20,4 @@ elmMp(const VecReg &a, const VecReg &b, uint16_t wm)
     return simd::ops().elmMp(a, b, wm);
 }
 
-uint16_t
-mpAlMask(uint32_t ml_mask)
-{
-    uint16_t al = 0;
-    for (int lane = 0; lane < kVecLanes; ++lane) {
-        if ((ml_mask >> (kMlPerAl * lane)) & 0x3u)
-            al |= static_cast<uint16_t>(1u << lane);
-    }
-    return al;
-}
-
 } // namespace save

@@ -28,8 +28,19 @@ uint16_t elmF32(const VecReg &a, const VecReg &b, uint16_t wm);
  *  The write mask is per accumulator lane and masks both of its MLs. */
 uint32_t elmMp(const VecReg &a, const VecReg &b, uint16_t wm);
 
-/** Accumulator lanes that have at least one effectual ML. */
-uint16_t mpAlMask(uint32_t ml_mask);
+/** Accumulator lanes that have at least one effectual ML (AL i is
+ *  set iff ML 2i or 2i+1 is). Branch-free: fold each ML pair onto its
+ *  even bit, then compact the sixteen even bits. */
+inline uint16_t
+mpAlMask(uint32_t ml_mask)
+{
+    uint32_t x = (ml_mask | (ml_mask >> 1)) & 0x55555555u;
+    x = (x | (x >> 1)) & 0x33333333u;
+    x = (x | (x >> 2)) & 0x0f0f0f0fu;
+    x = (x | (x >> 4)) & 0x00ff00ffu;
+    x = (x | (x >> 8)) & 0x0000ffffu;
+    return static_cast<uint16_t>(x);
+}
 
 } // namespace save
 

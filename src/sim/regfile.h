@@ -42,22 +42,51 @@ class PhysRegFile
      *  be simultaneously free and referenced by live pipeline state). */
     const std::vector<int> &freeList() const { return free_; }
 
-    const VecReg &value(int idx) const;
-    VecReg &value(int idx);
+    const VecReg &value(int idx) const
+    {
+        return regs_[static_cast<size_t>(idx)].value;
+    }
+    VecReg &value(int idx) { return regs_[static_cast<size_t>(idx)].value; }
 
     /** Ready mask over FP32/accumulator lanes. */
-    uint16_t laneReady(int idx) const;
-    bool laneIsReady(int idx, int lane) const;
-    bool fullyReady(int idx) const;
+    uint16_t laneReady(int idx) const
+    {
+        return regs_[static_cast<size_t>(idx)].ready;
+    }
+    bool laneIsReady(int idx, int lane) const
+    {
+        return (laneReady(idx) >> lane) & 1;
+    }
+    bool fullyReady(int idx) const { return laneReady(idx) == 0xffffu; }
 
     /** Returns true if this call made the register fully ready (the
      *  0->0xffff transition), i.e. RS waiters should be woken. */
-    bool setLaneReady(int idx, int lane);
-    bool setAllReady(int idx);
+    bool setLaneReady(int idx, int lane)
+    {
+        uint16_t &r = regs_[static_cast<size_t>(idx)].ready;
+        bool was = r == 0xffffu;
+        r |= static_cast<uint16_t>(1u << lane);
+        return !was && r == 0xffffu;
+    }
+    bool setAllReady(int idx)
+    {
+        uint16_t &r = regs_[static_cast<size_t>(idx)].ready;
+        bool was = r == 0xffffu;
+        r = 0xffffu;
+        return !was;
+    }
     /** Write one FP32 lane and mark it ready. */
-    bool publishLane(int idx, int lane, float v);
+    bool publishLane(int idx, int lane, float v)
+    {
+        regs_[static_cast<size_t>(idx)].value.setF32(lane, v);
+        return setLaneReady(idx, lane);
+    }
     /** Write the whole register and mark every lane ready. */
-    bool publishAll(int idx, const VecReg &v);
+    bool publishAll(int idx, const VecReg &v)
+    {
+        regs_[static_cast<size_t>(idx)].value = v;
+        return setAllReady(idx);
+    }
 
   private:
     struct Entry

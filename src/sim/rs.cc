@@ -88,6 +88,8 @@ Rs::promote(int idx)
         after = nodes_[static_cast<size_t>(after)].sprev;
 
     n.list = 1;
+    n.mp = slots_[static_cast<size_t>(idx)].uop.isMixedPrecision();
+    issuable_mp_ += n.mp;
     n.sprev = after;
     if (after == kEnd) {
         n.snext = head_[1];
@@ -134,6 +136,10 @@ Rs::listUnlink(int idx)
         tail_[l] = n.sprev;
     n.sprev = n.snext = kEnd;
     --list_size_[l];
+    if (l == 1 && n.mp) {
+        --issuable_mp_;
+        n.mp = false;
+    }
 }
 
 void

@@ -23,7 +23,9 @@
  * promote() moves an entry from pending to issuable with an
  * age-ordered insertion, so both sublists stay oldest-first even when
  * a late operand makes an old entry's ELM arrive after a younger
- * one's.
+ * one's. The issuable sublist also keeps a count of its
+ * mixed-precision entries, so select can tell in O(1) when the
+ * mixed-precision chain path owns everything issuable.
  */
 
 #ifndef SAVE_SIM_RS_H
@@ -140,6 +142,8 @@ class Rs
         return nodes_[static_cast<size_t>(idx)].snext;
     }
     int issuableCount() const { return list_size_[1]; }
+    /** Mixed-precision entries on the issuable sublist (O(1)). */
+    int issuableMpCount() const { return issuable_mp_; }
     int pendingCount() const { return list_size_[0]; }
 
     /** Valid slot indices, oldest first — materialized copy for cold
@@ -155,6 +159,8 @@ class Rs
         int snext = kEnd;
         /** Which sublist the slot is on: 0 pending, 1 issuable. */
         uint8_t list = 0;
+        /** Counted in issuable_mp_ (set by promote). */
+        bool mp = false;
     };
 
     void listUnlink(int idx);
@@ -170,6 +176,7 @@ class Rs
     int head_[2] = {kEnd, kEnd};
     int tail_[2] = {kEnd, kEnd};
     int list_size_[2] = {0, 0};
+    int issuable_mp_ = 0;
 };
 
 } // namespace save

@@ -3,12 +3,20 @@
  * Behavioral tests of the SAVE scheduler policies: coalescing reduces
  * VPU operations, rotation breaks shared-pattern lane conflicts,
  * lane-wise dependence removes false dependences, HC pays its
- * latency, and all of it stays bitwise-correct.
+ * latency, and all of it stays bitwise-correct. A golden stat-map
+ * test pins the modelled behaviour of every select path exactly.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "engine/engine.h"
+#include "kernels/gemm.h"
+#include "sim/multicore.h"
 
 namespace save {
 namespace {
@@ -211,6 +219,116 @@ TEST(Scheduler, TempFillNeverExceedsLaneCount)
     ASSERT_GT(temps, 0.0);
     EXPECT_LE(fill / temps, 16.0);
     EXPECT_GE(fill / temps, 1.0);
+}
+
+// ---------------------------------------------------------------------
+// Behaviour lock: the full stat map of every select path is pinned
+// byte-for-byte against tests/corpus/scheduler-golden-stats.json, so a
+// host-speed change to the scheduler cannot move modelled cycles,
+// issue counts or chain packing unnoticed (the bench/serve/shard byte
+// diffs only compare those paths with each other).
+// ---------------------------------------------------------------------
+
+struct GoldenCase
+{
+    std::string name;
+    SchedPolicy policy;
+    Precision prec;
+    double nbs;
+    int64_t faultSeq = -1; ///< >= 0: inject a squash at this seq
+};
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    std::vector<GoldenCase> out;
+    const std::pair<SchedPolicy, const char *> policies[] = {
+        {SchedPolicy::VC, "vc"},
+        {SchedPolicy::RVC, "rvc"},
+        {SchedPolicy::HC, "hc"}};
+    const std::pair<Precision, const char *> precs[] = {
+        {Precision::Fp32, "fp32"}, {Precision::Bf16, "bf16"}};
+    const std::pair<double, const char *> sparsities[] = {
+        {0.0, "dense"}, {0.5, "sparse50"}, {0.8, "sparse80"}};
+    for (const auto &[p, pn] : policies)
+        for (const auto &[pr, prn] : precs)
+            for (const auto &[nbs, sn] : sparsities)
+                out.push_back({std::string(pn) + "-" + prn + "-" + sn,
+                               p, pr, nbs});
+    // Mid-stream squash with partial mixed-precision results in
+    // flight: exercises rebuildAfterSquash.
+    out.push_back({"rvc-bf16-sparse50-squash", SchedPolicy::RVC,
+                   Precision::Bf16, 0.5, 300});
+    return out;
+}
+
+/** Aggregate stat map of one single-core run, as compact JSON. */
+std::string
+goldenRun(const GoldenCase &gc)
+{
+    GemmConfig g;
+    g.mr = 6;
+    g.nrVecs = 2;
+    g.kSteps = 96;
+    g.tiles = 2;
+    g.pattern = BroadcastPattern::Embedded;
+    g.precision = gc.prec;
+    g.bsSparsity = 0.2;
+    g.nbsSparsity = gc.nbs;
+    g.seed = 11;
+
+    SaveConfig s;
+    s.policy = gc.policy;
+    s.mpCompress = true;
+
+    MemoryImage image;
+    GemmWorkload w = buildGemm(g, image);
+    Multicore mc(oneCore(), s, 2, &image);
+    w.warmup(mc.hierarchy());
+    if (gc.faultSeq >= 0)
+        mc.core(0).injectFaultAtSeq(static_cast<uint64_t>(gc.faultSeq));
+    VectorTrace t(w.trace);
+    mc.bindTraces({&t});
+    mc.run(10'000'000);
+    return mc.aggregateStats().toJson();
+}
+
+/** name -> JSON object, from lines of the form `"name": {...},`. */
+std::map<std::string, std::string>
+readGolden(const std::string &path)
+{
+    std::map<std::string, std::string> out;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        size_t q0 = line.find('"');
+        size_t q1 = q0 == std::string::npos ? q0 : line.find('"', q0 + 1);
+        size_t brace = q1 == std::string::npos ? q1 : line.find('{', q1);
+        size_t end = line.rfind('}');
+        if (brace == std::string::npos || end == std::string::npos ||
+            end < brace)
+            continue;
+        out[line.substr(q0 + 1, q1 - q0 - 1)] =
+            line.substr(brace, end - brace + 1);
+    }
+    return out;
+}
+
+TEST(Scheduler, GoldenStatMapsAreExact)
+{
+    const std::string path =
+        std::string(SAVE_CORPUS_DIR) + "/scheduler-golden-stats.json";
+    std::map<std::string, std::string> golden = readGolden(path);
+    std::vector<GoldenCase> cases = goldenCases();
+    EXPECT_EQ(golden.size(), cases.size()) << path;
+    for (const GoldenCase &gc : cases) {
+        std::string got = goldenRun(gc);
+        auto it = golden.find(gc.name);
+        // On mismatch the message carries the line in file format.
+        EXPECT_TRUE(it != golden.end() && it->second == got)
+            << "stat map differs from " << path << "; got:\n  \""
+            << gc.name << "\": " << got;
+    }
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * windows, the canonical point enumeration, and the coordinator
  * fault matrix — shard-count invariance, daemon crash mid-batch,
  * straggler rebalance, protocol version skew against a v1-emulating
- * daemon, and coordinator SIGKILL + journal resume recomputing zero
+ * daemon, a daemon that vanishes between its status probe and its
+ * first batch, and coordinator SIGKILL + journal resume recomputing zero
  * already-merged points. The acceptance bar throughout is that the
  * merged report is byte-identical to the single-host sweep.
  */
@@ -22,8 +23,11 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -32,6 +36,7 @@
 #include "serve/protocol.h"
 #include "shard/coordinator.h"
 #include "util/error.h"
+#include "util/frame.h"
 #include "util/journal.h"
 #include "util/posix_io.h"
 
@@ -166,6 +171,61 @@ class DaemonProc
   private:
     pid_t pid_ = -1;
     std::string socket_;
+};
+
+/**
+ * A stand-in backend that answers one Status probe as a shard-capable
+ * daemon and is gone before the reply is even sent: the listening
+ * socket is closed and unlinked first, so every later dispatch fails
+ * at connect() and never reaches a daemon. Deterministic, unlike
+ * killing a real daemon between probe and dispatch.
+ */
+class ProbeThenVanish
+{
+  public:
+    explicit ProbeThenVanish(const std::string &path) : path_(path)
+    {
+        struct sockaddr_un addr;
+        std::memset(&addr, 0, sizeof(addr));
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        ::unlink(path.c_str());
+        EXPECT_EQ(::bind(listen_fd_,
+                         reinterpret_cast<struct sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listen_fd_, 4), 0);
+        thread_ = std::thread([this] {
+            // Bounded wait, so a run that never probes cannot hang the
+            // destructor's join.
+            struct pollfd p = {listen_fd_, POLLIN, 0};
+            int fd = ::poll(&p, 1, 30000) == 1
+                ? ::accept(listen_fd_, nullptr, nullptr)
+                : -1;
+            ::close(listen_fd_);
+            ::unlink(path_.c_str());
+            if (fd < 0)
+                return;
+            Frame req;
+            if (frameReadFd(fd, req, 5000, serveKnownFourcc,
+                            kServeMaxPayload, "test") == FrameRead::Ok)
+                frameWriteFd(fd, kServeResult, 0,
+                             serveEncodeStatus(ServeStatus{}));
+            ::close(fd);
+        });
+    }
+
+    ~ProbeThenVanish() { thread_.join(); }
+
+    ProbeThenVanish(const ProbeThenVanish &) = delete;
+    ProbeThenVanish &operator=(const ProbeThenVanish &) = delete;
+
+  private:
+    std::string path_;
+    int listen_fd_ = -1;
+    std::thread thread_;
 };
 
 /** Run the save-shard binary with stdout/stderr captured to files;
@@ -404,6 +464,45 @@ TEST(ShardCoordinator, DaemonCrashMidBatchDegradesGracefully)
     // in-process lane finished them: same bytes, no hang.
     EXPECT_EQ(report, referenceReport());
     EXPECT_GE(coord.stats().requeues, 1u);
+}
+
+TEST(ShardCoordinator, RefusedDispatchChargesNoAttempt)
+{
+    // Every dispatch to the vanished daemon fails at connect(), before
+    // a batch reaches it. That must not charge an attempt: even with a
+    // budget of one, every point falls to the in-process lane and the
+    // merge is unchanged (a build-speed-independent repro of a dead
+    // daemon burning points' budgets while a healthy lane exists).
+    std::string s = socketPath("gone");
+    ProbeThenVanish d(s);
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 1;
+    o.sockets = {s};
+    o.batch = 4;
+    o.maxAttempts = 1;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_EQ(coord.run(), referenceReport());
+    EXPECT_TRUE(coord.stats().failures.empty());
+    EXPECT_EQ(coord.stats().requeues, 0u);
+}
+
+TEST(ShardCoordinator, RefusedDispatchStillExcludesBackend)
+{
+    // Uncharged refusals still count as consecutive faults: with no
+    // other backend the dead daemon is excluded and the run fails
+    // typed, without any point having been marked permanently failed.
+    std::string s = socketPath("gone_only");
+    ProbeThenVanish d(s);
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 0;
+    o.sockets = {s};
+    o.maxAttempts = 1;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_THROW(coord.run(), SimError);
+    EXPECT_EQ(coord.stats().backendsExcluded, 1u);
+    EXPECT_TRUE(coord.stats().failures.empty());
 }
 
 TEST(ShardCoordinator, StragglerRebalance)
