@@ -197,25 +197,11 @@ class BenchResultCache
         const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
                          casGemmWorkload(g, cores, vpus)};
         CasValue v;
-        if (store_->lookup(key, &v)) {
-            KernelResult kr;
-            kr.timeNs = v.timeNs;
-            kr.cycles = v.cycles;
-            kr.coreGhz = v.coreGhz;
-            for (const auto &[name, value] : v.stats)
-                kr.stats.set(name, value);
-            return kr;
-        }
+        if (store_->lookup(key, &v))
+            return kernelResultOf(v);
         KernelResult kr = eng.runGemm(g, cores, vpus);
-        if (std::isfinite(kr.timeNs)) {
-            v = CasValue{};
-            v.timeNs = kr.timeNs;
-            v.cycles = kr.cycles;
-            v.coreGhz = kr.coreGhz;
-            for (const auto &[name, value] : kr.stats.all())
-                v.stats.emplace_back(name, value);
-            store_->insert(key, v);
-        }
+        if (store_->enabled())
+            store_->insert(key, casValueOf(kr));
         return kr;
     }
 

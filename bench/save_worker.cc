@@ -18,7 +18,6 @@
  * triage still classifies it.
  */
 
-#include <cmath>
 #include <exception>
 #include <memory>
 #include <new>
@@ -85,10 +84,10 @@ serve()
 
     // The worker opens its own handle on the shared result store and
     // persists every slice it simulates *before* replying, so a result
-    // lands on disk exactly once: the parent marks worker-run slices
-    // as already persisted. A cache hit here answers the REQ without
-    // simulating at all (e.g. a retry of a slice whose first attempt
-    // crashed after the insert).
+    // lands on disk exactly once: the parent's own insert then finds
+    // the record and appends nothing. A cache hit here answers the REQ
+    // without simulating at all (e.g. a retry of a slice whose first
+    // attempt crashed after the insert).
     std::unique_ptr<ResultStore> store;
     if (!init.cacheDir.empty()) {
         ResultStore::Options sopt;
@@ -119,32 +118,21 @@ serve()
                                                     attempt);
             const CasKey ck{init.configHash,
                             casSliceWorkload(req.key)};
-            WireSliceResult res;
-            CasValue hit;
-            if (store && store->lookup(ck, &hit)) {
-                res.timeNs = hit.timeNs;
-                res.cycles = hit.cycles;
-                res.coreGhz = hit.coreGhz;
-                res.stats = hit.stats;
-            } else {
-                KernelResult kr =
-                    TrainingEstimator::simulateSliceKernel(
-                        init.mcfg, init.scfg, req.key, init.tiles,
-                        init.cores, init.seed);
-                res.timeNs = kr.timeNs;
-                res.cycles = kr.cycles;
-                res.coreGhz = kr.coreGhz;
-                for (const auto &[name, value] : kr.stats.all())
-                    res.stats.emplace_back(name, value);
-                if (store && std::isfinite(res.timeNs)) {
-                    CasValue v;
-                    v.timeNs = res.timeNs;
-                    v.cycles = res.cycles;
-                    v.coreGhz = res.coreGhz;
-                    v.stats = res.stats;
+            // Plain lookup/insert: the parent already holds this key's
+            // single-flight claim.
+            CasValue v;
+            if (!store || !store->lookup(ck, &v)) {
+                v = casValueOf(TrainingEstimator::simulateSliceKernel(
+                    init.mcfg, init.scfg, req.key, init.tiles,
+                    init.cores, init.seed));
+                if (store)
                     store->insert(ck, v);
-                }
             }
+            WireSliceResult res;
+            res.timeNs = v.timeNs;
+            res.cycles = v.cycles;
+            res.coreGhz = v.coreGhz;
+            res.stats = std::move(v.stats);
             if (!wireWrite(STDOUT_FILENO, kWireResult, 0,
                            wireEncodeSliceResult(res)))
                 return 1; // parent hung up mid-reply

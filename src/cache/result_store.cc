@@ -17,6 +17,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "engine/engine.h"
 #include "trace/trace_format.h"
 #include "util/error.h"
 #include "util/fault_injection.h"
@@ -107,6 +108,29 @@ pidDead(pid_t pid)
 }
 
 } // namespace
+
+CasValue
+casValueOf(const KernelResult &kr)
+{
+    CasValue v;
+    v.timeNs = kr.timeNs;
+    v.cycles = kr.cycles;
+    v.coreGhz = kr.coreGhz;
+    v.stats.assign(kr.stats.all().begin(), kr.stats.all().end());
+    return v;
+}
+
+KernelResult
+kernelResultOf(const CasValue &v)
+{
+    KernelResult kr;
+    kr.timeNs = v.timeNs;
+    kr.cycles = v.cycles;
+    kr.coreGhz = v.coreGhz;
+    for (const auto &[name, value] : v.stats)
+        kr.stats.set(name, value);
+    return kr;
+}
 
 std::string
 ResultStore::resolveDir(const std::string &opt)
@@ -367,9 +391,39 @@ ResultStore::appendRecordLocked(int shard, const CasKey &key,
         }
         return false;
     }
-    s.parsed += frame.size();
-    s.diskBytes += frame.size();
+    // O_APPEND put the frame at the end of the file, behind any frames
+    // other processes appended since this shard was last parsed. Only a
+    // frame that landed exactly at `parsed` may advance it; otherwise
+    // the next re-parse reads their frames and this one in file order
+    // (and counts this one's bytes then).
+    const off_t end = ::lseek(fd, 0, SEEK_CUR);
+    if (end >= 0 && static_cast<uint64_t>(end) == s.parsed + frame.size()) {
+        s.parsed += frame.size();
+        s.diskBytes += frame.size();
+    }
     return true;
+}
+
+bool
+ResultStore::findLocked(const CasKey &key, CasValue *out)
+{
+    Shard &s = shards_[shardOf(key)];
+    auto it = s.recs.find(key);
+    if (it == s.recs.end())
+        return false;
+    it->second.lastUse = ++useClock_;
+    if (out)
+        *out = it->second.val;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+}
+
+bool
+ResultStore::reloadAndFind(const CasKey &key, CasValue *out)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    loadShardLocked(shardOf(key), /*at_open=*/false);
+    return findLocked(key, out);
 }
 
 bool
@@ -378,17 +432,10 @@ ResultStore::lookup(const CasKey &key, CasValue *out)
     if (!enabled())
         return false;
     std::lock_guard<std::mutex> lk(mu_);
-    Shard &s = shards_[shardOf(key)];
-    auto it = s.recs.find(key);
-    if (it == s.recs.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    it->second.lastUse = ++useClock_;
-    if (out)
-        *out = it->second.val;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    if (findLocked(key, out))
+        return true;
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
 }
 
 bool
@@ -400,6 +447,9 @@ ResultStore::insert(const CasKey &key, const CasValue &value)
         return false; // poisoned (exhausted-retry) results never persist
     std::lock_guard<std::mutex> lk(mu_);
     const int shard = shardOf(key);
+    // Another process may have landed this key since the shard was
+    // last parsed: read its tail first, so no record is appended twice.
+    loadShardLocked(shard, /*at_open=*/false);
     Shard &s = shards_[shard];
     if (s.recs.count(key))
         return true; // already present: results land once
@@ -424,6 +474,31 @@ ResultStore::insert(const CasKey &key, const CasValue &value)
     if (opt_.maxBytes && totalRecordBytesLocked() > opt_.maxBytes)
         evictLocked();
     return true;
+}
+
+CasValue
+ResultStore::getOrCompute(const CasKey &key,
+                          const std::function<CasValue()> &compute)
+{
+    if (!enabled())
+        return compute();
+    CasValue v;
+    if (lookup(key, &v) || reloadAndFind(key, &v))
+        return v;
+    Flight flight = beginFlight(key);
+    if (flight.owner()) {
+        // The claim alone proves nothing: the previous owner may have
+        // landed the value and released after the re-parse above.
+        if (reloadAndFind(key, &v))
+            return v;
+    } else if (waitForResult(key, &v, kFlightWaitMs)) {
+        return v;
+    }
+    // Owner, or a follower whose owner timed out or vanished: compute,
+    // then land the value before the flight is released.
+    v = compute();
+    insert(key, v);
+    return v;
 }
 
 void
@@ -693,40 +768,18 @@ ResultStore::waitForResult(const CasKey &key, CasValue *out,
 {
     if (!enabled())
         return false;
-    const int shard = shardOf(key);
     const std::string lock = flightPath(key);
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(timeout_ms);
     for (;;) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            loadShardLocked(shard, /*at_open=*/false);
-            Shard &s = shards_[shard];
-            auto it = s.recs.find(key);
-            if (it != s.recs.end()) {
-                it->second.lastUse = ++useClock_;
-                if (out)
-                    *out = it->second.val;
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-        }
+        if (reloadAndFind(key, out))
+            return true;
         std::error_code ec;
         if (!std::filesystem::exists(lock, ec)) {
             // The owner released (or died) without landing a result:
             // one last refresh to close the release/insert race, then
             // let the caller simulate the point itself.
-            std::lock_guard<std::mutex> lk(mu_);
-            loadShardLocked(shard, /*at_open=*/false);
-            Shard &s = shards_[shard];
-            auto it = s.recs.find(key);
-            if (it == s.recs.end())
-                return false;
-            it->second.lastUse = ++useClock_;
-            if (out)
-                *out = it->second.val;
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            return true;
+            return reloadAndFind(key, out);
         }
         if (std::chrono::steady_clock::now() >= deadline)
             return false;

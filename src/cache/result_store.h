@@ -41,9 +41,13 @@
  *  - Size cap (`SAVE_CACHE_MAX_MB` / Options::maxBytes): global LRU
  *    eviction compacts shards via temp-file + rename once the record
  *    bytes exceed the cap (batched, with hysteresis).
- *  - Cross-process single-flight: beginFlight() takes an O_EXCL
- *    `fl-<key>.lock` file carrying the owner pid; losers wait on
- *    waitForResult(), which polls the shard for the owner's insert.
+ *  - Cross-process single-flight: getOrCompute() is the whole
+ *    protocol. It claims an O_EXCL `fl-<key>.lock` file carrying the
+ *    owner pid (beginFlight), re-parses the key's shard once the claim
+ *    is won, and only then computes; losers wait on waitForResult(),
+ *    which polls the shard for the owner's insert. insert() re-parses
+ *    the shard tail too, so a record another process already landed is
+ *    never appended twice.
  *    While a flight is owned, a background heartbeat refreshes the
  *    lock's mtime, and the breaker fires only when the recorded pid
  *    is provably dead AND the mtime is stale — either signal alone
@@ -64,6 +68,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -86,12 +91,22 @@ struct CasValue
     std::vector<std::pair<std::string, double>> stats;
 };
 
+struct KernelResult;
+
+/** A simulation result in its stored form, and back. The round trip
+ *  is bit-identical. */
+CasValue casValueOf(const KernelResult &kr);
+KernelResult kernelResultOf(const CasValue &v);
+
 class ResultStore
 {
   public:
     /** Record-frame version; bumped on any payload layout change. */
     static constexpr uint32_t kVersion = 1;
     static constexpr int kShards = 16;
+    /** How long a single-flight follower waits for the owning process
+     *  before giving up and computing the value itself. */
+    static constexpr int kFlightWaitMs = 60000;
 
     struct Options
     {
@@ -125,20 +140,41 @@ class ResultStore
     bool lookup(const CasKey &key, CasValue *out);
 
     /**
-     * Append a record (no-op if the key is already present). Returns
-     * false — without writing — when the store is disabled, the value
-     * is non-finite (poisoned), or I/O fails.
+     * Append a record (no-op if the key is already present, including
+     * when another process landed it since the shard was last parsed:
+     * the key's shard tail is re-parsed first). Returns false —
+     * without writing — when the store is disabled, the value is
+     * non-finite (poisoned), or I/O fails.
      */
     bool insert(const CasKey &key, const CasValue &value);
+
+    /**
+     * Get `key`, computing it at most once across every process that
+     * shares the directory:
+     *  1. look in the index; on a miss, re-parse the key's shard tail;
+     *  2. claim the key's flight (beginFlight);
+     *  3. once the claim is won, re-parse the shard again: an earlier
+     *     owner may have landed the value and released after step 1,
+     *     and then it is returned without computing;
+     *  4. otherwise compute(), insert() and release the flight.
+     * A follower waits for the owner's insert; after kFlightWaitMs, or
+     * when the owner vanishes without a result, it computes the value
+     * itself. A disabled store just computes. Returns the stored value
+     * or compute()'s; a non-finite time is returned but never stored.
+     * Step 1 counts a hit or a miss like lookup(); a value found by a
+     * later step counts a hit.
+     */
+    CasValue getOrCompute(const CasKey &key,
+                          const std::function<CasValue()> &compute);
 
     /** Re-parse shard tails appended by other processes since open. */
     void refresh();
 
     /**
-     * Cross-process single-flight claim for one key. The owner is
-     * expected to simulate, insert(), then release() (also done by
-     * the destructor); losers should waitForResult(). A disabled
-     * store hands every caller ownership.
+     * Cross-process single-flight claim for one key (step 2 of
+     * getOrCompute). The owner is expected to compute, insert(), then
+     * release() (also done by the destructor); losers should
+     * waitForResult(). A disabled store hands every caller ownership.
      */
     class Flight
     {
@@ -239,6 +275,12 @@ class ResultStore
     };
 
     static int shardOf(const CasKey &key);
+
+    /** Index probe: on a hit, bump the record's LRU stamp, copy it
+     *  out and count the hit. */
+    bool findLocked(const CasKey &key, CasValue *out);
+    /** Re-parse the key's shard tail, then findLocked. */
+    bool reloadAndFind(const CasKey &key, CasValue *out);
 
     /** Parse [shard.parsed, EOF) through a read-only mmap. Returns
      *  false when the shard was quarantined. */

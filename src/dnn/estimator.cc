@@ -29,22 +29,6 @@ optionSalt(const EstimatorOptions &opt)
     return salt;
 }
 
-/** How long a single-flight follower waits for the owning process
- *  before giving up and simulating the point itself. */
-constexpr int kFlightWaitMs = 60000;
-
-CasValue
-toCasValue(const KernelResult &kr)
-{
-    CasValue v;
-    v.timeNs = kr.timeNs;
-    v.cycles = kr.cycles;
-    v.coreGhz = kr.coreGhz;
-    for (const auto &[name, value] : kr.stats.all())
-        v.stats.emplace_back(name, value);
-    return v;
-}
-
 } // namespace
 
 std::string
@@ -249,24 +233,20 @@ TrainingEstimator::casKey(const Key &key) const
     return CasKey{config_hash_, casSliceWorkload(key)};
 }
 
-TrainingEstimator::SliceOutcome
+KernelResult
 TrainingEstimator::runSliceIsolated(const Key &key, int attempt)
 {
     if (proc_pool_ && !proc_pool_->degraded()) {
         try {
             WireSliceResult wr =
                 proc_pool_->runSlice(key, keyHash(key), attempt);
-            SliceOutcome out;
-            out.result.timeNs = wr.timeNs;
-            out.result.cycles = wr.cycles;
-            out.result.coreGhz = wr.coreGhz;
+            KernelResult r;
+            r.timeNs = wr.timeNs;
+            r.cycles = wr.cycles;
+            r.coreGhz = wr.coreGhz;
             for (const auto &[name, value] : wr.stats)
-                out.result.stats.set(name, value);
-            // The worker already persisted this result into the shared
-            // store before replying; the parent must not append a
-            // duplicate record.
-            out.fromWorker = true;
-            return out;
+                r.stats.set(name, value);
+            return r;
         } catch (const WorkerError &e) {
             if (proc_pool_->degraded()) {
                 // The pool has drained past its crash budget: finish
@@ -275,12 +255,12 @@ TrainingEstimator::runSliceIsolated(const Key &key, int attempt)
                 // one of the slice's own retries.
                 SAVE_WARN("slice falling back in-process after pool "
                           "degradation: ", e.what());
-                return SliceOutcome{simulateSlice(key), false};
+                return simulateSlice(key);
             }
             throw;
         }
     }
-    return SliceOutcome{simulateSlice(key), false};
+    return simulateSlice(key);
 }
 
 uint64_t
@@ -324,7 +304,7 @@ TrainingEstimator::keyLabel(const Key &key) const
     return os.str();
 }
 
-TrainingEstimator::SliceOutcome
+KernelResult
 TrainingEstimator::simulateWithRetry(const Key &key)
 {
     const uint64_t site = keyHash(key);
@@ -351,9 +331,8 @@ TrainingEstimator::simulateWithRetry(const Key &key)
             }
             SAVE_WARN(keyLabel(key), " failed permanently after ",
                       attempts, " attempts: ", e.what());
-            SliceOutcome out;
-            out.result.timeNs =
-                std::numeric_limits<double>::quiet_NaN();
+            KernelResult out;
+            out.timeNs = std::numeric_limits<double>::quiet_NaN();
             return out;
         }
     }
@@ -362,30 +341,15 @@ TrainingEstimator::simulateWithRetry(const Key &key)
 double
 TrainingEstimator::computeCold(const Key &key)
 {
-    if (store_ && store_->enabled()) {
-        const CasKey ck = casKey(key);
-        ResultStore::Flight flight = store_->beginFlight(ck);
-        if (!flight.owner()) {
-            // Another process is simulating this exact point. Wait for
-            // its insert; on timeout (owner died mid-flight or is just
-            // slow) fall through and simulate it ourselves — inserts
-            // are idempotent, so a late duplicate is harmless.
-            CasValue v;
-            if (store_->waitForResult(ck, &v, kFlightWaitMs))
-                return v.timeNs;
-        }
-        SliceOutcome out = simulateWithRetry(key);
-        if (std::isfinite(out.result.timeNs)) {
+    // A worker-run slice was persisted by its worker before it replied;
+    // the store's insert then finds that record and appends nothing.
+    auto simulate = [&] {
+        KernelResult r = simulateWithRetry(key);
+        if (std::isfinite(r.timeNs))
             sims_.fetch_add(1, std::memory_order_relaxed);
-            if (!out.fromWorker)
-                store_->insert(ck, toCasValue(out.result));
-        }
-        return out.result.timeNs;
-    }
-    SliceOutcome out = simulateWithRetry(key);
-    if (std::isfinite(out.result.timeNs))
-        sims_.fetch_add(1, std::memory_order_relaxed);
-    return out.result.timeNs;
+        return casValueOf(r);
+    };
+    return store_->getOrCompute(casKey(key), simulate).timeNs;
 }
 
 double
@@ -410,11 +374,7 @@ TrainingEstimator::sliceTime(const Key &key)
 
     double t;
     try {
-        CasValue v;
-        if (store_ && store_->lookup(casKey(key), &v))
-            t = v.timeNs; // persistent hit: no simulation at all
-        else
-            t = computeCold(key);
+        t = computeCold(key);
     } catch (...) {
         // failFast (or a non-isolatable error): fail every waiter too,
         // then let the sweep driver unwind.
@@ -668,7 +628,7 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
     std::vector<size_t> coldPromise;
     for (size_t i = 0; i < todo.size(); ++i) {
         CasValue v;
-        if (store_ && store_->lookup(casKey(todo[i]), &v)) {
+        if (store_->lookup(casKey(todo[i]), &v)) {
             promises[i].set_value(v.timeNs);
         } else {
             cold.push_back(todo[i]);

@@ -277,15 +277,6 @@ class TrainingEstimator
     };
     BinWeights binWeights(double nbs, double bs) const;
 
-    /** One slice attempt plus where it ran: a slice that executed in
-     *  a sandboxed worker was already persisted by that worker, so the
-     *  parent must not append a duplicate record. */
-    struct SliceOutcome
-    {
-        KernelResult result;
-        bool fromWorker = false;
-    };
-
     /** Run one slice simulation (pure: no estimator state touched;
      *  the worker builds its own short-lived Engine). */
     KernelResult simulateSlice(const Key &key) const;
@@ -301,19 +292,19 @@ class TrainingEstimator
     /** simulateSlice with the retry/fault-isolation policy applied.
      *  Returns a NaN-timed result after maxRetries + 1 failed attempts
      *  (recording a SliceFailure) unless failFast, which rethrows. */
-    SliceOutcome simulateWithRetry(const Key &key);
+    KernelResult simulateWithRetry(const Key &key);
 
     /** One attempt of one slice under the resolved isolation mode:
      *  dispatches to the worker pool (falling back in-process once it
      *  degrades) or runs simulateSlice directly. */
-    SliceOutcome runSliceIsolated(const Key &key, int attempt);
+    KernelResult runSliceIsolated(const Key &key, int attempt);
 
     /**
-     * Produce one point the persistent store does not have yet:
-     * cross-process single-flight (losers wait for the owner's
-     * insert), then simulate with the retry policy and persist the
-     * finite result — from the parent in-process, or from the worker
-     * that ran it. Returns the slice time (NaN = permanently failed).
+     * Produce one point through the store's cross-process
+     * single-flight (ResultStore::getOrCompute): a stored value is
+     * returned as is; otherwise the point is simulated with the retry
+     * policy and a finite result persisted. Returns the slice time
+     * (NaN = permanently failed).
      */
     double computeCold(const Key &key);
 

@@ -1,7 +1,6 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "cache/cas_key.h"
 #include "util/error.h"
@@ -75,28 +74,11 @@ SimSession::runGemm(const GemmConfig &g, int cores, int vpus)
     // raw Engine runs, so served and benched repeats share entries.
     const CasKey key{casHashConfig(opt_.mcfg, opt_.scfg, 0),
                      casGemmWorkload(g, cores, vpus)};
-    CasValue v;
-    if (store_->lookup(key, &v)) {
-        KernelResult kr;
-        kr.timeNs = v.timeNs;
-        kr.cycles = v.cycles;
-        kr.coreGhz = v.coreGhz;
-        for (const auto &[name, value] : v.stats)
-            kr.stats.set(name, value);
-        return kr;
-    }
-    Engine eng(opt_.mcfg, opt_.scfg);
-    KernelResult kr = eng.runGemm(g, cores, vpus);
-    if (std::isfinite(kr.timeNs)) {
-        v = CasValue{};
-        v.timeNs = kr.timeNs;
-        v.cycles = kr.cycles;
-        v.coreGhz = kr.coreGhz;
-        for (const auto &[name, value] : kr.stats.all())
-            v.stats.emplace_back(name, value);
-        store_->insert(key, v);
-    }
-    return kr;
+    auto simulate = [&] {
+        Engine eng(opt_.mcfg, opt_.scfg);
+        return casValueOf(eng.runGemm(g, cores, vpus));
+    };
+    return kernelResultOf(store_->getOrCompute(key, simulate));
 }
 
 TrainingEstimator &

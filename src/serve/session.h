@@ -93,7 +93,8 @@ class SimSession
      * One GEMM slice simulation, memoized in the content-addressed
      * store under the exact key BenchResultCache uses: a slice the
      * benches (or a previous request) already ran is answered from
-     * the store without re-simulating.
+     * the store without re-simulating, and a slice another process
+     * is simulating is waited for (ResultStore::getOrCompute).
      */
     KernelResult runGemm(const GemmConfig &g, int cores, int vpus);
 

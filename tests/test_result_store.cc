@@ -3,9 +3,10 @@
  * Content-addressed result store (cache/result_store.h) tests: key
  * derivation and delegation, bit-exact record round-trips, corruption
  * quarantine (manual tampering and SAVE_FAULT_INJECT cache modes),
- * LRU eviction under a byte cap, cross-process single-flight (forked
- * writers), v1 surface-cache migration, and cold/warm estimator
- * bit-identity across every isolation mode.
+ * LRU eviction under a byte cap, cross-process single-flight
+ * (getOrCompute across handles and forked writers), v1 surface-cache
+ * migration, and cold/warm estimator bit-identity across every
+ * isolation mode.
  */
 
 #include <gtest/gtest.h>
@@ -261,6 +262,15 @@ TEST_F(ResultStoreTest, DisabledStoreIsInert)
     EXPECT_TRUE(store.beginFlight(CasKey{1, 2}).owner());
     CasValue v;
     EXPECT_FALSE(store.waitForResult(CasKey{1, 2}, &v, 10));
+    // getOrCompute computes on every call: there is nowhere to land.
+    int computed = 0;
+    auto compute = [&] {
+        ++computed;
+        return makeValue(1.0);
+    };
+    EXPECT_EQ(store.getOrCompute(CasKey{1, 2}, compute).timeNs, 1.0);
+    EXPECT_EQ(store.getOrCompute(CasKey{1, 2}, compute).timeNs, 1.0);
+    EXPECT_EQ(computed, 2);
 }
 
 TEST_F(ResultStoreTest, ResolveHelpersHonourEnvironment)
@@ -463,6 +473,25 @@ TEST_F(ResultStoreTest, RefreshSeesOtherHandlesAppends)
     EXPECT_TRUE(sameBits(out.timeNs, 6.25));
 }
 
+TEST_F(ResultStoreTest, InsertAppendsNothingForAKeyAnotherHandleLanded)
+{
+    // B opens first, so its index never saw A's record; its insert must
+    // still find the record on disk instead of appending a duplicate.
+    ResultStore b(opts());
+    ResultStore a(opts());
+    const CasKey key{0x23, 0}; // shard 3
+    ASSERT_TRUE(a.insert(key, makeValue(3.5)));
+    const std::string shard = b.shardPath(3);
+    const auto size = fs::file_size(shard);
+
+    EXPECT_TRUE(b.insert(key, makeValue(3.5)));
+    EXPECT_EQ(fs::file_size(shard), size);
+    EXPECT_EQ(b.inserts(), 0u);
+    CasValue out;
+    ASSERT_TRUE(b.lookup(key, &out));
+    EXPECT_TRUE(sameBits(out.timeNs, 3.5));
+}
+
 // --------------------------------------------------------------------
 // Single-flight
 
@@ -496,6 +525,39 @@ TEST_F(ResultStoreTest, FlightOwnershipAndRelease)
     // With the lock gone, the next claimant owns the flight again.
     ResultStore::Flight f3 = store.beginFlight(key);
     EXPECT_TRUE(f3.owner());
+}
+
+TEST_F(ResultStoreTest, GetOrComputeReturnsAValueAnotherHandleLanded)
+{
+    // B opens first; A then claims the key, lands it and releases —
+    // what another process does with a point B has not looked at yet.
+    ResultStore b(opts());
+    ResultStore a(opts());
+    const CasKey key{0x1234, 0x5678};
+    CasValue landed = makeValue(1.0 / 7.0, 77, 2.1);
+    landed.stats = {{"negzero", -0.0}, {"uops", 12345.0}};
+    {
+        ResultStore::Flight f = a.beginFlight(key);
+        ASSERT_TRUE(f.owner());
+        ASSERT_TRUE(a.insert(key, landed));
+    }
+
+    int computed = 0;
+    CasValue got = b.getOrCompute(key, [&] {
+        ++computed;
+        return makeValue(-1.0);
+    });
+    EXPECT_EQ(computed, 0);
+    EXPECT_TRUE(sameBits(got.timeNs, landed.timeNs));
+    EXPECT_EQ(got.cycles, landed.cycles);
+    EXPECT_TRUE(sameBits(got.coreGhz, landed.coreGhz));
+    ASSERT_EQ(got.stats.size(), landed.stats.size());
+    for (size_t i = 0; i < got.stats.size(); ++i) {
+        EXPECT_EQ(got.stats[i].first, landed.stats[i].first);
+        EXPECT_TRUE(sameBits(got.stats[i].second, landed.stats[i].second));
+    }
+    EXPECT_EQ(b.inserts(), 0u);
+    EXPECT_FALSE(fs::exists(b.flightPath(key)));
 }
 
 TEST_F(ResultStoreTest, WaitReturnsEarlyWhenOwnerVanishes)
@@ -640,36 +702,24 @@ TEST_F(ResultStoreTest, ForkedWritersSingleFlight)
             // one-line writes.
             ResultStore store(
                 ResultStore::Options{dir_.string(), 0});
-            CasValue v;
-            if (store.lookup(key, &v))
-                ::_exit(sameBits(v.timeNs, 42.0) ? 0 : 2);
-            ResultStore::Flight fl = store.beginFlight(key);
-            if (!fl.owner()) {
-                bool ok = store.waitForResult(key, &v, 20000);
-                ::_exit(ok && sameBits(v.timeNs, 42.0) ? 0 : 3);
-            }
-            // Owner: re-check after winning the lock — a previous
-            // owner may have landed the result and released already.
-            store.refresh();
-            if (store.lookup(key, &v))
-                ::_exit(sameBits(v.timeNs, 42.0) ? 0 : 4);
-            int fd = ::open(marker.c_str(),
-                            O_WRONLY | O_APPEND | O_CREAT, 0644);
-            if (fd < 0)
-                ::_exit(5);
-            char line[32];
-            int len = std::snprintf(line, sizeof line, "%ld\n",
-                                    static_cast<long>(::getpid()));
-            if (::write(fd, line, static_cast<size_t>(len)) != len)
-                ::_exit(5);
-            ::close(fd);
-            // Hold the flight long enough that every sibling has had
-            // to choose follower before the result lands.
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-            if (!store.insert(key, makeValue(42.0)))
-                ::_exit(6);
-            ::_exit(0);
+            CasValue v = store.getOrCompute(key, [&] {
+                int fd = ::open(marker.c_str(),
+                                O_WRONLY | O_APPEND | O_CREAT, 0644);
+                if (fd < 0)
+                    ::_exit(5);
+                char line[32];
+                int len = std::snprintf(line, sizeof line, "%ld\n",
+                                        static_cast<long>(::getpid()));
+                if (::write(fd, line, static_cast<size_t>(len)) != len)
+                    ::_exit(5);
+                ::close(fd);
+                // Hold the flight long enough that every sibling has
+                // had to choose follower before the result lands.
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(100));
+                return makeValue(42.0);
+            });
+            ::_exit(sameBits(v.timeNs, 42.0) ? 0 : 3);
         }
         kids.push_back(pid);
     }
@@ -753,6 +803,26 @@ TEST_F(ResultStoreTest, WarmRunsAreBitIdenticalAcrossIsolationModes)
         EXPECT_EQ(est.persistentHits(), cold_sims) << iso;
         EXPECT_EQ(std::memcmp(&cold, &warm, sizeof cold), 0) << iso;
     }
+}
+
+TEST_F(ResultStoreTest, SecondEstimatorReusesPointsTheFirstLanded)
+{
+    NetworkModel net = vgg16Dense();
+    net.convLayers.resize(2);
+    const std::string cache = (dir_ / "cas").string();
+
+    // Two estimators, each with its own store handle on one directory;
+    // the second opens its store before the first has landed anything,
+    // as a second process started alongside the first would.
+    TrainingEstimator first(MachineConfig{}, SaveConfig{},
+                            fastOptions(cache));
+    TrainingEstimator second(MachineConfig{}, SaveConfig{},
+                             fastOptions(cache));
+    NetResult a = first.inference(net, Precision::Fp32);
+    ASSERT_GT(first.simulations(), 0u);
+    NetResult b = second.inference(net, Precision::Fp32);
+    EXPECT_EQ(second.simulations(), 0u);
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
 }
 
 TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)

@@ -5,9 +5,10 @@
  * fault matrix — shard-count invariance, daemon crash mid-batch,
  * straggler rebalance, protocol version skew against a v1-emulating
  * daemon, a daemon that vanishes between its status probe and its
- * first batch, and coordinator SIGKILL + journal resume recomputing zero
- * already-merged points. The acceptance bar throughout is that the
- * merged report is byte-identical to the single-host sweep.
+ * first batch, coordinator SIGKILL + journal resume recomputing zero
+ * already-merged points, and a daemon and two lanes sharing one store
+ * simulating every slice exactly once. The acceptance bar throughout is
+ * that the merged report is byte-identical to the single-host sweep.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <regex>
 #include <string>
 #include <thread>
@@ -31,6 +36,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cache/result_store.h"
 #include "dnn/fig14_report.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -118,9 +124,14 @@ class DaemonProc
         std::vector<std::string> args;
         args.push_back(SAVE_SERVE_BIN_PATH);
         args.push_back("--socket=" + socket);
-        args.push_back("--cache-dir=none");
         for (const std::string &a : extra_args)
             args.push_back(a);
+        // The first --cache-dir wins: default to none unless given.
+        if (std::none_of(extra_args.begin(), extra_args.end(),
+                         [](const std::string &a) {
+                             return a.rfind("--cache-dir=", 0) == 0;
+                         }))
+            args.push_back("--cache-dir=none");
         pid_ = ::fork();
         ASSERT_GE(pid_, 0);
         if (pid_ == 0) {
@@ -275,6 +286,34 @@ waitExit(pid_t pid, int timeout_ms = 120000)
         ::usleep(50 * 1000);
     }
     return -2;
+}
+
+/** Record frames per (cfg, wl) key across a store's shard files. The
+ *  store's own records() deduplicates, so only a scan sees a key that
+ *  was appended twice. */
+std::map<std::pair<uint64_t, uint64_t>, int>
+framesPerKey(const std::string &dir)
+{
+    std::map<std::pair<uint64_t, uint64_t>, int> frames;
+    ResultStore probe(ResultStore::Options{dir, 0});
+    for (int s = 0; s < ResultStore::kShards; ++s) {
+        std::ifstream f(probe.shardPath(s), std::ios::binary);
+        if (!f)
+            continue;
+        std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
+                                   std::istreambuf_iterator<char>());
+        uint64_t off = 0;
+        FrameView v;
+        while (frameParse(bytes.data(), bytes.size(), off, v,
+                          uint64_t{1} << 30, nullptr) == FrameParse::Ok) {
+            const uint8_t *p = v.payload;
+            const uint64_t cfg = frameGetU64(p, v.payload + v.len);
+            const uint64_t wl = frameGetU64(p, v.payload + v.len);
+            ++frames[{cfg, wl}];
+        }
+        EXPECT_EQ(off, bytes.size()) << "unparsed tail in shard " << s;
+    }
+    return frames;
 }
 
 std::string
@@ -503,6 +542,44 @@ TEST(ShardCoordinator, RefusedDispatchStillExcludesBackend)
     EXPECT_THROW(coord.run(), SimError);
     EXPECT_EQ(coord.stats().backendsExcluded, 1u);
     EXPECT_TRUE(coord.stats().failures.empty());
+}
+
+TEST(ShardCoordinator, SharedStoreSimulatesEverySliceOnce)
+{
+    // One daemon and two in-process lanes, all process-isolated over one
+    // fresh store. A duplicate simulation carries the same bytes, so the
+    // report cannot show it; the store's frames can.
+    const std::string root = tmpDir("once");
+    const std::string store = root + "/cas";
+    const std::string s = socketPath("once");
+    DaemonProc d;
+    d.start(s, {"--workers=1", "--threads=1", "--cache-dir=" + store,
+                "--isolation=process",
+                std::string("--worker-bin=") + SAVE_WORKER_BIN_PATH});
+    ASSERT_TRUE(d.waitReady());
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 2;
+    o.sockets = {s};
+    o.knobs.isolation = fig14IsolationCode("process");
+    o.runtime.threads = 1;
+    o.runtime.isolation = "process";
+    o.runtime.cacheDir = store;
+    o.runtime.workerBin = SAVE_WORKER_BIN_PATH;
+    ShardCoordinator coord(std::move(o));
+    EXPECT_EQ(coord.run(), referenceReport());
+    EXPECT_EQ(coord.stats().backendsExcluded, 0u);
+
+    const auto frames = framesPerKey(store);
+    ASSERT_FALSE(frames.empty());
+    for (const auto &[key, n] : frames)
+        EXPECT_EQ(n, 1) << std::hex << "key " << key.first << "/"
+                        << key.second << std::dec << " landed " << n
+                        << " times";
+    EXPECT_EQ(ResultStore(ResultStore::Options{store, 0}).records(),
+              frames.size());
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
 }
 
 TEST(ShardCoordinator, StragglerRebalance)
