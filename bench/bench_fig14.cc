@@ -41,13 +41,21 @@ run(int argc, char **argv)
 
     Fig14Eval eval = [&](const std::string &key, const Fig14Entry &e,
                          bool training) {
-        return runner.point<NetResult>(key, [&] {
-            return training ? est.training(e.net, e.prec)
-                            : est.inference(e.net, e.prec);
-        });
+        return runner.point<NetResult>(
+            key, [&] { return est.evaluate({&e.net, e.prec, !training}); });
     };
 
-    std::string report = fig14Report(eval);
+    // Queue the slices of every point the journal will not resume, so
+    // the whole sweep drains as one batch queue while points render.
+    std::string report;
+    {
+        std::vector<NetEvaluation> evals;
+        for (const Fig14Point &p : fig14Points())
+            if (!runner.resumes<NetResult>(p.key))
+                evals.push_back(fig14Evaluation(p));
+        TrainingEstimator::Prefetch fan = est.prefetch(evals);
+        report = fig14Report(eval);
+    }
     std::fputs(report.c_str(), stdout);
 
     std::fprintf(stderr,

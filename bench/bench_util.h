@@ -311,21 +311,10 @@ class SweepRunner
     T
     point(const std::string &key, Fn fn)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "journal payloads are raw bytes");
-        if (journal_) {
-            std::string hex;
-            T v;
-            // A journaled point resumes only if it is a real value: a
-            // NaN-poisoned record (a permanently failed point journaled
-            // by an older run) is treated as a miss so the resumed run
-            // re-attempts it instead of replaying the failure forever.
-            if (journal_->lookup(key, &hex) &&
-                SweepJournal::decode(hex, v) &&
-                !sweepResultPoisoned(v)) {
-                resumed_.fetch_add(1, std::memory_order_relaxed);
-                return v;
-            }
+        T v;
+        if (journaled(key, v)) {
+            resumed_.fetch_add(1, std::memory_order_relaxed);
+            return v;
         }
         const int attempts = 1 + opt_.maxRetries;
         for (int a = 1;; ++a) {
@@ -358,6 +347,16 @@ class SweepRunner
                 return failedValue<T>();
             }
         }
+    }
+
+    /** True when point() will resume `key` from the journal instead
+     *  of computing it. */
+    template <typename T>
+    bool
+    resumes(const std::string &key) const
+    {
+        T v;
+        return journaled(key, v);
     }
 
     size_t resumedPoints() const
@@ -418,6 +417,21 @@ class SweepRunner
         std::string reason;
         int attempts;
     };
+
+    /** A journaled point resumes only if it is a real value: a
+     *  NaN-poisoned record (a permanently failed point journaled by an
+     *  older run) is treated as a miss so the resumed run re-attempts
+     *  it instead of replaying the failure forever. */
+    template <typename T>
+    bool
+    journaled(const std::string &key, T &v) const
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "journal payloads are raw bytes");
+        std::string hex;
+        return journal_ && journal_->lookup(key, &hex) &&
+               SweepJournal::decode(hex, v) && !sweepResultPoisoned(v);
+    }
 
     template <typename T>
     static T

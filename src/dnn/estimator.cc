@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <limits>
 #include <set>
@@ -18,6 +20,18 @@
 namespace save {
 
 namespace {
+
+/** Marks a point whose fan-out was cancelled before it ran. */
+struct SliceReleased
+{
+};
+
+bool
+ready(const std::shared_future<double> &f)
+{
+    return f.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+}
 
 /** Estimator knobs that shift slice times but live outside the Key. */
 uint64_t
@@ -352,40 +366,78 @@ TrainingEstimator::computeCold(const Key &key)
     return store_->getOrCompute(casKey(key), simulate).timeNs;
 }
 
+struct TrainingEstimator::FanOut
+{
+    TrainingEstimator *est = nullptr;
+    /** Claimed points batched by shape, in claim order; promises[] is
+     *  parallel to the claimed key list (SliceBatch::srcIdx). */
+    std::vector<SliceBatch> batches;
+    std::vector<std::promise<double>> promises;
+    /** Index of the next batch nobody has started. */
+    std::atomic<size_t> next{0};
+    std::atomic<bool> cancelled{false};
+    std::mutex mu;
+    std::condition_variable cv;
+    /** Batches run or dropped; guarded by mu. */
+    size_t finished = 0;
+
+    /** Run the next unstarted batch; false when none is left. */
+    bool runNext();
+    /** Free points [from, end) of `b` for re-claiming. */
+    void release(const SliceBatch &b, size_t from);
+    void finish(size_t n);
+};
+
 double
 TrainingEstimator::sliceTime(const Key &key)
 {
-    std::promise<double> promise;
-    std::shared_future<double> fut;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lk(cache_mu_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            fut = it->second;
-        } else {
-            fut = promise.get_future().share();
-            cache_.emplace(key, fut);
-            owner = true;
+    for (;;) {
+        std::promise<double> promise;
+        std::shared_future<double> value;
+        std::shared_ptr<FanOut> fan;
+        bool owner = false;
+        {
+            std::lock_guard<std::mutex> lk(cache_mu_);
+            auto [it, inserted] = cache_.try_emplace(key);
+            if (inserted) {
+                it->second.value = promise.get_future().share();
+                owner = true;
+            } else if (ready(it->second.value)) {
+                return it->second.value.get();
+            } else {
+                value = it->second.value;
+                fan = it->second.fan.lock();
+            }
+        }
+        if (owner) {
+            double t;
+            try {
+                t = computeCold(key);
+            } catch (...) {
+                // failFast (or a non-isolatable error): fail every
+                // waiter too, then let the sweep driver unwind.
+                promise.set_exception(std::current_exception());
+                throw;
+            }
+            // NaN (exhausted retries) is cached like any value: the
+            // point is not re-attempted within this process, and
+            // waiters observe the same poisoned result instead of a
+            // duplicate simulation.
+            promise.set_value(t);
+            return t;
+        }
+
+        // A queued point: help drain its fan-out (next batch in claim
+        // order) before blocking on the single-flight future.
+        while (fan && !ready(value) && fan->runNext()) {
+        }
+        try {
+            return value.get();
+        } catch (const SliceReleased &) {
+            // The fan-out was cancelled before the point ran and the
+            // key was released: claim it again.
         }
     }
-    if (!owner)
-        return fut.get(); // single-flight: wait for the simulating thread
-
-    double t;
-    try {
-        t = computeCold(key);
-    } catch (...) {
-        // failFast (or a non-isolatable error): fail every waiter too,
-        // then let the sweep driver unwind.
-        promise.set_exception(std::current_exception());
-        throw;
-    }
-    // NaN (exhausted retries) is cached like any value: the point is
-    // not re-attempted within this process, and waiters observe the
-    // same poisoned result instead of a duplicate simulation.
-    promise.set_value(t);
-    return t;
 }
 
 std::vector<SliceFailure>
@@ -558,14 +610,97 @@ TrainingEstimator::forEachKernel(
     }
 }
 
-void
-TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
-                            bool inference_only)
+bool
+TrainingEstimator::FanOut::runNext()
 {
-    // Enumerate every surface point the evaluation will touch, in the
+    const size_t idx = next.fetch_add(1);
+    if (idx >= batches.size())
+        return false;
+    const SliceBatch &b = batches[idx];
+    size_t i = 0;
+    try {
+        for (; i < b.size() && !cancelled.load(); ++i)
+            promises[b.srcIdx[i]].set_value(est->computeCold(b.keyAt(i)));
+    } catch (...) {
+        // failFast: fail this point's waiters and everything left in
+        // the batch; the walk rethrows when it reaches one of them.
+        const std::exception_ptr e = std::current_exception();
+        for (; i < b.size(); ++i)
+            promises[b.srcIdx[i]].set_exception(e);
+    }
+    if (i < b.size()) // cancelled mid-batch
+        release(b, i);
+    finish(1);
+    return true;
+}
+
+void
+TrainingEstimator::FanOut::release(const SliceBatch &b, size_t from)
+{
+    {
+        std::lock_guard<std::mutex> lk(est->cache_mu_);
+        for (size_t i = from; i < b.size(); ++i)
+            est->cache_.erase(b.keyAt(i));
+    }
+    // Erased first, so a waiter the marker wakes finds the key free.
+    const std::exception_ptr marker =
+        std::make_exception_ptr(SliceReleased{});
+    for (size_t i = from; i < b.size(); ++i)
+        promises[b.srcIdx[i]].set_exception(marker);
+}
+
+void
+TrainingEstimator::FanOut::finish(size_t n)
+{
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        finished += n;
+    }
+    cv.notify_all();
+}
+
+void
+TrainingEstimator::Prefetch::wait()
+{
+    if (!fan_)
+        return;
+    while (fan_->runNext()) {
+    }
+    std::unique_lock<std::mutex> lk(fan_->mu);
+    fan_->cv.wait(lk, [this] {
+        return fan_->finished == fan_->batches.size();
+    });
+}
+
+void
+TrainingEstimator::Prefetch::cancel()
+{
+    if (!fan_)
+        return;
+    FanOut &f = *fan_;
+    f.cancelled.store(true);
+    // After the exchange no thread can start a batch, so [started, n)
+    // is ours to drop.
+    const size_t n = f.batches.size();
+    const size_t started = std::min(f.next.exchange(n), n);
+    for (size_t b = started; b < n; ++b)
+        f.release(f.batches[b], 0);
+    f.finish(n - started);
+    {
+        std::unique_lock<std::mutex> lk(f.mu);
+        f.cv.wait(lk, [&] { return f.finished == n; });
+    }
+    fan_.reset();
+}
+
+TrainingEstimator::Prefetch
+TrainingEstimator::prefetch(const std::vector<NetEvaluation> &evals)
+{
+    // Enumerate every surface point the evaluations will touch, in the
     // deterministic order the serial walk would first request them.
     std::vector<Key> order;
     std::set<Key> seen;
+    Precision precision{};
     auto consider = [&](Key k) {
         if (seen.insert(k).second)
             order.push_back(k);
@@ -595,80 +730,55 @@ TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
                 }
         }
     };
+    for (const NetEvaluation &ev : evals) {
+        precision = ev.precision;
+        const NetworkModel &net = *ev.net;
+        int64_t first_step = ev.inferenceOnly ? net.steps() - 1 : 0;
+        for (int64_t e = first_step; e < net.steps(); ++e)
+            forEachKernel(net, e, ev.inferenceOnly, add_kernel);
+    }
 
-    int64_t first_step = inference_only ? net.steps() - 1 : 0;
-    for (int64_t e = first_step; e < net.steps(); ++e)
-        forEachKernel(net, e, inference_only, add_kernel);
-
-    // Claim every un-cached point up front: inserting the shared
-    // future under the lock takes single-flight ownership, exactly as
-    // sliceTime's owner path would, so a concurrent kernelTime that
-    // races the prefetch waits on our batch instead of duplicating the
-    // simulation. promises[] stays parallel to todo[].
-    std::vector<Key> todo;
-    std::vector<std::promise<double>> promises;
+    // Claim every un-cached point: inserting the shared future under
+    // the lock takes single-flight ownership, exactly as sliceTime's
+    // owner path would, so a concurrent kernelTime waits on (and helps
+    // drain) this queue instead of duplicating the simulation. Points
+    // group into batches by micro-kernel shape (SoA layout); each still
+    // simulates with its own seeded Engine, so the grouping only
+    // changes scheduling, never values.
+    auto fan = std::make_shared<FanOut>();
+    fan->est = this;
     {
         std::lock_guard<std::mutex> lk(cache_mu_);
+        std::vector<Key> claimed;
         for (const Key &k : order) {
-            if (cache_.count(k))
+            auto [it, inserted] = cache_.try_emplace(k);
+            if (!inserted)
                 continue;
-            std::promise<double> p;
-            cache_.emplace(k, p.get_future().share());
-            todo.push_back(k);
-            promises.push_back(std::move(p));
+            fan->promises.emplace_back();
+            it->second = Claim{fan->promises.back().get_future().share(),
+                               fan};
+            claimed.push_back(k);
         }
+        // Batched before the lock drops: a waiter reaches the queue
+        // through its claim.
+        fan->batches = batchSlices(claimed);
     }
-    if (todo.empty())
-        return;
 
-    // Serve persistent-store hits immediately: only the points the
-    // store has never seen are batched and fanned out. coldPromise[]
-    // maps a cold point back to its promise slot in the full claim.
-    std::vector<Key> cold;
-    std::vector<size_t> coldPromise;
-    for (size_t i = 0; i < todo.size(); ++i) {
-        CasValue v;
-        if (store_->lookup(casKey(todo[i]), &v)) {
-            promises[i].set_value(v.timeNs);
-        } else {
-            cold.push_back(todo[i]);
-            coldPromise.push_back(i);
-        }
-    }
-    if (cold.empty())
-        return;
+    Prefetch handle;
+    if (fan->batches.empty())
+        return handle;
+    if (pool_)
+        for (size_t b = 0; b < fan->batches.size(); ++b)
+            pool_->submit([fan] { fan->runNext(); });
+    handle.fan_ = std::move(fan);
+    return handle;
+}
 
-    // Batch the cold points by micro-kernel shape (SoA layout) and
-    // fan out one pool task per batch. Each point still simulates with
-    // its own seeded Engine, so the grouping only changes scheduling,
-    // never values.
-    std::vector<SliceBatch> batches = batchSlices(cold);
-    auto run_batch = [&](SliceBatch &b) {
-        for (size_t i = 0; i < b.size(); ++i) {
-            double t;
-            try {
-                t = computeCold(b.keyAt(i));
-            } catch (...) {
-                // failFast: fail this point's waiters and everything
-                // left in the batch, then let parallelFor rethrow.
-                auto e = std::current_exception();
-                for (size_t j = i; j < b.size(); ++j)
-                    promises[coldPromise[b.srcIdx[j]]].set_exception(e);
-                throw;
-            }
-            b.times[i] = t;
-            promises[coldPromise[b.srcIdx[i]]].set_value(t);
-        }
-    };
-
-    if (pool_ && batches.size() > 1) {
-        pool_->parallelFor(
-            static_cast<int64_t>(batches.size()),
-            [&](int64_t i) { run_batch(batches[static_cast<size_t>(i)]); });
-    } else {
-        for (SliceBatch &b : batches)
-            run_batch(b);
-    }
+void
+TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
+                            bool inference_only)
+{
+    prefetch({NetEvaluation{&net, precision, inference_only}}).wait();
 }
 
 void
@@ -703,23 +813,18 @@ TrainingEstimator::addEpoch(const NetworkModel &net, Precision precision,
 }
 
 NetResult
-TrainingEstimator::inference(const NetworkModel &net, Precision precision)
+TrainingEstimator::evaluate(const NetEvaluation &ev)
 {
-    prefetch(net, precision, true);
+    const NetworkModel &net = *ev.net;
     NetResult r;
-    addEpoch(net, precision, net.steps() - 1, true, r);
-    // Inference has no epoch granularity: static == the better fixed
-    // configuration == what addEpoch already computed.
-    return r;
-}
-
-NetResult
-TrainingEstimator::training(const NetworkModel &net, Precision precision)
-{
-    prefetch(net, precision, false);
-    NetResult r;
+    if (ev.inferenceOnly) {
+        // Inference has no epoch granularity: static == the better
+        // fixed configuration == what addEpoch already computed.
+        addEpoch(net, ev.precision, net.steps() - 1, true, r);
+        return r;
+    }
     for (int64_t e = 0; e < net.steps(); ++e)
-        addEpoch(net, precision, e, false, r);
+        addEpoch(net, ev.precision, e, false, r);
     double inv = 1.0 / static_cast<double>(net.steps());
     r.baseline2 *= inv;
     r.save2 *= inv;
@@ -727,6 +832,20 @@ TrainingEstimator::training(const NetworkModel &net, Precision precision)
     r.saveStatic *= inv;
     r.saveDynamic *= inv;
     return r;
+}
+
+NetResult
+TrainingEstimator::inference(const NetworkModel &net, Precision precision)
+{
+    prefetch(net, precision, true);
+    return evaluate({&net, precision, true});
+}
+
+NetResult
+TrainingEstimator::training(const NetworkModel &net, Precision precision)
+{
+    prefetch(net, precision, false);
+    return evaluate({&net, precision, false});
 }
 
 } // namespace save

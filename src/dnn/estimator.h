@@ -16,12 +16,13 @@
  *
  * The surface points of a network are hundreds of *independent*,
  * seeded slice simulations, so the estimator enumerates them up front
- * (deterministically) and fans them out across a host thread pool;
- * the serial accumulation that follows reads only cached values, so
- * results are bit-identical for any thread count. With a cache
- * directory configured (SAVE_CACHE_DIR or EstimatorOptions::cacheDir)
- * surfaces persist across process runs. See DESIGN.md, "Parallel
- * estimator".
+ * (deterministically) — for one network or a whole sweep of them —
+ * and queues them as batches that the host thread pool and every
+ * waiting caller drain; the serial accumulation that follows reads
+ * only cached values, so results are bit-identical for any thread
+ * count. With a cache directory configured (SAVE_CACHE_DIR or
+ * EstimatorOptions::cacheDir) surfaces persist across process runs.
+ * See DESIGN.md, "Parallel estimator".
  *
  * Operating points (Fig. 14): the baseline machine (2 VPUs, 1.7GHz),
  * SAVE with 2 VPUs, SAVE with 1 VPU at 2.1GHz (SecIV-D), `static`
@@ -171,6 +172,16 @@ sweepResultPoisoned(const NetResult &r)
            sweepResultPoisoned(r.saveDynamic);
 }
 
+/** One whole-network evaluation a prefetch covers: the surface points
+ *  inference() (inferenceOnly) or training() of `net` will request.
+ *  `net` is borrowed and must outlive the prefetch call. */
+struct NetEvaluation
+{
+    const NetworkModel *net;
+    Precision precision;
+    bool inferenceOnly;
+};
+
 /** Surface-cached whole-network estimator. Thread-safe: concurrent
  *  kernelTime/inference/training calls share the single-flight surface
  *  cache. */
@@ -201,10 +212,62 @@ class TrainingEstimator
     NetResult training(const NetworkModel &net, Precision precision);
 
     /**
-     * Simulate every surface point the given evaluation will touch,
-     * fanned out across the thread pool. inference()/training() call
-     * this themselves; it is public so callers can warm several
-     * networks ahead of time.
+     * inference() or training() without their prefetch: the walk
+     * claims and simulates inline any point no prefetch queued, and
+     * waits on (helping drain) the queued ones. A sweep prefetches
+     * every evaluation once, then evaluates them in order.
+     */
+    NetResult evaluate(const NetEvaluation &ev);
+
+  private:
+    /** The queue behind a Prefetch (defined in estimator.cc). */
+    struct FanOut;
+
+  public:
+    /**
+     * A started slice fan-out (see prefetch). Move-only. Destroying it
+     * cancels what is left: batches nobody started are dropped — their
+     * keys leave the in-memory cache, and a concurrent waiter on one of
+     * them re-claims and computes it — running batches stop after
+     * their current slice, and the destructor returns only once no
+     * thread still runs one, so no pool task touches the estimator
+     * afterwards. Must be destroyed before the estimator.
+     */
+    class Prefetch
+    {
+      public:
+        Prefetch() = default;
+        Prefetch(Prefetch &&) noexcept = default;
+        Prefetch &operator=(Prefetch &&) = delete;
+        Prefetch(const Prefetch &) = delete;
+        ~Prefetch() { cancel(); }
+
+      private:
+        friend class TrainingEstimator;
+        /** Help drain the queue, then block until every batch ran. */
+        void wait();
+        /** Drop unstarted batches and wait out running ones. */
+        void cancel();
+
+        std::shared_ptr<FanOut> fan_;
+    };
+
+    /**
+     * Claim every surface point the evaluations will touch (in
+     * first-request order, skipping points already claimed), batch the
+     * claims by micro-kernel shape and queue the batches in claim
+     * order. One pool task per batch takes the next unstarted batch,
+     * and a sliceTime() waiter on a queued point helps drain the queue
+     * before it blocks, so the caller can walk the evaluations while
+     * later ones are still simulating. Store hits resolve inside the
+     * batches. Returns without waiting.
+     */
+    [[nodiscard]] Prefetch
+    prefetch(const std::vector<NetEvaluation> &evals);
+
+    /**
+     * The one-evaluation prefetch, blocking until its points are in.
+     * inference()/training() call this themselves.
      */
     void prefetch(const NetworkModel &net, Precision precision,
                   bool inference_only);
@@ -344,10 +407,20 @@ class TrainingEstimator
     /** Sandboxed slice workers; non-null iff isolation_ == "process". */
     std::unique_ptr<WorkerPool> proc_pool_;
 
+    /** One claimed surface point: its value, and the fan-out whose
+     *  queue holds it (expired once that fan-out is gone, empty for a
+     *  point claimed by sliceTime itself). */
+    struct Claim
+    {
+        std::shared_future<double> value;
+        std::weak_ptr<FanOut> fan;
+    };
+
     /** Single-flight surface cache: the first thread to want a key
-     *  simulates it, everyone else waits on the shared future. */
+     *  simulates (or queues) it, everyone else waits on the shared
+     *  future. */
     std::mutex cache_mu_;
-    std::map<Key, std::shared_future<double>> cache_;
+    std::map<Key, Claim> cache_;
     std::atomic<uint64_t> sims_{0};
 
     /** Persistent content-addressed store: owned_store_ is populated

@@ -59,6 +59,14 @@ struct Fig14Point
 
 const std::vector<Fig14Point> &fig14Points();
 
+/** The estimator evaluation behind one sweep point (what a
+ *  sweep-wide TrainingEstimator::prefetch is given). */
+inline NetEvaluation
+fig14Evaluation(const Fig14Point &p)
+{
+    return {&p.entry.net, p.entry.prec, !p.training};
+}
+
 /**
  * Evaluate one entry. `key` is the stable sweep-point id
  * ("infer/VGG16 FP32 dense", "train/GNMT MP pruned"): journal key in

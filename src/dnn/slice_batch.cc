@@ -44,7 +44,6 @@ batchSlices(const std::vector<SliceKey> &keys, std::size_t maxPoints)
         b.wBins.push_back(k.wBin);
         b.aBins.push_back(k.aBin);
         b.srcIdx.push_back(static_cast<uint32_t>(i));
-        b.times.push_back(0.0);
     }
     return batches;
 }

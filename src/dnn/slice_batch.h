@@ -10,8 +10,8 @@
  * (mr/nr/kSteps/pattern/precision/saveOn/vpus) was re-carried — and a
  * full Key re-built — for every task. `batchSlices` groups the points
  * by shape instead: the header is stored once per batch, the per-point
- * bins and results live in parallel arrays (structure of arrays), and
- * the pool runs one task per batch. Grouping is purely a scheduling
+ * bins and back-references live in parallel arrays (structure of
+ * arrays), and the pool runs one task per batch. Grouping is purely a scheduling
  * change — every point still simulates with its own seeded Engine —
  * so results are bit-identical to the per-point fan-out.
  */
@@ -44,12 +44,10 @@ struct SliceBatch
 
     /** Per-point parallel arrays. `srcIdx` maps a point back to its
      *  slot in the caller's key list (and whatever the caller keeps
-     *  parallel to it, e.g. the single-flight promises); `times` is
-     *  sized by batchSlices and filled by the runner. */
+     *  parallel to it, e.g. the single-flight promises). */
     std::vector<uint8_t> wBins;
     std::vector<uint8_t> aBins;
     std::vector<uint32_t> srcIdx;
-    std::vector<double> times;
 
     std::size_t size() const { return wBins.size(); }
 

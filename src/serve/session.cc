@@ -129,10 +129,16 @@ SimSession::runFig14(const Fig14Knobs &knobs,
                      const Fig14Progress &progress)
 {
     TrainingEstimator &est = estimatorFor(knobs);
+    // Queue the whole sweep's slices up front: points render (and
+    // progress fires) as their slices land while later points' slices
+    // are still running. An unwinding walk cancels the rest.
+    std::vector<NetEvaluation> evals;
+    for (const Fig14Point &p : fig14Points())
+        evals.push_back(fig14Evaluation(p));
+    TrainingEstimator::Prefetch fan = est.prefetch(evals);
     Fig14Eval eval = [&est](const std::string &, const Fig14Entry &e,
                             bool training) {
-        return training ? est.training(e.net, e.prec)
-                        : est.inference(e.net, e.prec);
+        return est.evaluate({&e.net, e.prec, !training});
     };
     return fig14Report(eval, progress);
 }

@@ -100,11 +100,13 @@ class SimSession
 
     /**
      * The full Fig. 14 sweep; returns the report text (byte-identical
-     * to bench_fig14 stdout for the same knobs). `progress` fires
-     * after each of the 16 network evaluations and may throw to abort
-     * the sweep. Estimators are cached per knob tuple, so repeat
-     * sweeps reuse warm in-memory surfaces on top of the persistent
-     * store.
+     * to bench_fig14 stdout for the same knobs). Every point's slices
+     * are queued at once (TrainingEstimator::prefetch); `progress`
+     * fires after each of the 16 network evaluations and may throw to
+     * abort the sweep, which drops the slices nobody started and
+     * returns once none is running. Estimators are cached per knob
+     * tuple, so repeat sweeps reuse warm in-memory surfaces on top of
+     * the persistent store.
      */
     std::string runFig14(const Fig14Knobs &knobs,
                          const Fig14Progress &progress = nullptr);

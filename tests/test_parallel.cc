@@ -2,24 +2,29 @@
  * @file
  * Tests for the parallel simulation layer: the work-stealing thread
  * pool, the estimator's concurrent slice fan-out (results must be
- * bit-identical to the serial path for every thread count), and the
- * persistent surface cache.
+ * bit-identical to the serial path for every thread count), the
+ * sweep-wide fan-out behind SimSession::runFig14 and its cancellation,
+ * and the persistent surface cache.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <unistd.h>
 
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "dnn/surface_cache.h"
+#include "serve/session.h"
 #include "util/thread_pool.h"
 
 namespace save {
@@ -161,6 +166,143 @@ TEST(ParallelEstimator, PrefetchCoversEvaluation)
     est.inference(net, Precision::Fp32);
     // The evaluation itself must be fully served from cache.
     EXPECT_EQ(est.simulations(), after_prefetch);
+}
+
+// ------------------------------------------------- sweep-wide fan-out
+
+/** The quick Fig. 14 knobs the serve and shard tests use. isolation
+ *  is a Fig14Knobs code: 1 = none (serial), 2 = thread. */
+Fig14Knobs
+quickFig14(int threads, int isolation)
+{
+    Fig14Knobs k;
+    k.gridStep = 9;
+    k.kSteps = 8;
+    k.tiles = 1;
+    k.threads = threads;
+    k.isolation = isolation;
+    return k;
+}
+
+std::unique_ptr<SimSession>
+fig14Session(const std::string &cache_dir = "none")
+{
+    SimSession::Options o;
+    o.runtime.threads = 4;
+    o.runtime.cacheDir = cache_dir;
+    return std::make_unique<SimSession>(std::move(o));
+}
+
+struct Fig14Reference
+{
+    std::string report;
+    /** Distinct slices of the sweep. */
+    uint64_t keys = 0;
+};
+
+/** A serial sweep over a fresh store: the store holds one record per
+ *  distinct slice, which counts the keys independently of
+ *  simulations(). */
+const Fig14Reference &
+fig14Reference()
+{
+    static const Fig14Reference ref = [] {
+        std::filesystem::path dir =
+            std::filesystem::temp_directory_path() /
+            ("save-fanout-ref-" + std::to_string(::getpid()));
+        std::filesystem::remove_all(dir);
+        Fig14Reference r;
+        {
+            auto s = fig14Session(dir.string());
+            r.report = s->runFig14(quickFig14(1, 1));
+            r.keys = s->resultStore()->records();
+            EXPECT_EQ(s->simulations(), r.keys);
+        }
+        std::filesystem::remove_all(dir);
+        return r;
+    }();
+    return ref;
+}
+
+TEST(SweepFanOut, SameReportAndSimulationsForEveryThreadCount)
+{
+    const Fig14Reference &ref = fig14Reference();
+    ASSERT_GT(ref.keys, 0u);
+    for (int iso : {1, 2})
+        for (int threads : {1, 2, 4}) {
+            auto s = fig14Session();
+            EXPECT_EQ(s->runFig14(quickFig14(threads, iso)), ref.report)
+                << "isolation " << iso << ", " << threads << " threads";
+            EXPECT_EQ(s->simulations(), ref.keys)
+                << "isolation " << iso << ", " << threads << " threads";
+        }
+}
+
+TEST(SweepFanOut, CancelledSweepStopsAndLeavesTheRestToTheNextCall)
+{
+    using Clock = std::chrono::steady_clock;
+    const Fig14Reference &ref = fig14Reference();
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        auto s = fig14Session();
+        const Fig14Knobs k = quickFig14(threads, 2);
+        Clock::time_point thrown;
+        auto abort_after_3 = [&](int done, int, const std::string &) {
+            if (done == 3) {
+                thrown = Clock::now();
+                throw std::runtime_error("client went away");
+            }
+        };
+        EXPECT_THROW(s->runFig14(k, abort_after_3), std::runtime_error);
+        // Running batches stop after their current slice, so the
+        // rethrow waits for at most one slice per computing thread.
+        EXPECT_LT(Clock::now() - thrown, std::chrono::seconds(2));
+
+        const uint64_t first = s->simulations();
+        if (threads == 1) { // nothing but the walk drains the queue
+            EXPECT_LT(first, ref.keys);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        EXPECT_EQ(s->simulations(), first)
+            << "a pool task simulated after runFig14 returned";
+
+        // The dropped slices were released, not poisoned: the next
+        // sweep computes exactly them.
+        EXPECT_EQ(s->runFig14(k), ref.report);
+        EXPECT_EQ(s->simulations(), ref.keys);
+    }
+}
+
+TEST(SweepFanOut, ConcurrentSweepReclaimsSlicesAnotherSweepDropped)
+{
+    const Fig14Reference &ref = fig14Reference();
+    auto s = fig14Session();
+    // No pool: the two walks are the only threads draining the first
+    // sweep's queue, so most of it is still unstarted when that sweep
+    // cancels, after the second one has claimed nothing of its own and
+    // is walking the first one's slices.
+    const Fig14Knobs k = quickFig14(1, 1);
+    std::promise<void> first_at_1, second_at_1;
+    std::thread canceller([&] {
+        auto cancel_after_1 = [&](int done, int, const std::string &) {
+            if (done == 1) {
+                first_at_1.set_value();
+                second_at_1.get_future().wait();
+                throw std::runtime_error("deadline");
+            }
+        };
+        EXPECT_THROW(s->runFig14(k, cancel_after_1), std::runtime_error);
+    });
+    first_at_1.get_future().wait();
+    std::string report =
+        s->runFig14(k, [&](int done, int, const std::string &) {
+            if (done == 1)
+                second_at_1.set_value();
+        });
+    canceller.join();
+    EXPECT_EQ(report, ref.report);
+    // Both sweeps share one estimator: every slice ran exactly once.
+    EXPECT_EQ(s->simulations(), ref.keys);
 }
 
 // -------------------------------------------------------- surface cache
