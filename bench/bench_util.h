@@ -63,7 +63,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
@@ -163,64 +162,61 @@ estimatorOptions(const Flags &flags)
     return o;
 }
 
-/**
- * Persistent memoization of Engine::runGemm for the figure/table
- * benches that drive the simulator directly (no estimator): a repeat
- * slice — same machine, feature set, and GEMM workload — is served
- * from the content-addressed result store instead of re-simulating.
- * Shares --cache-dir/--cache-max-mb (and the SAVE_CACHE_DIR /
- * SAVE_CACHE_MAX_MB environment) with the estimator-driven benches,
- * and the same store directory: the key space is partitioned by the
- * config/workload digests, so estimator slices and bench slices
- * coexist in one store.
- */
-class BenchResultCache
+/** The result store --cache-dir/--cache-max-mb name (defaulting to
+ *  SAVE_CACHE_DIR / SAVE_CACHE_MAX_MB). The Engine-driven benches
+ *  memoize through it with runGemmCached(); the estimator-driven ones
+ *  open the same directory, and the config/workload digests keep the
+ *  two key spaces apart. */
+inline ResultStore::Options
+storeOptions(const Flags &flags)
 {
-  public:
-    explicit BenchResultCache(const Flags &flags)
-    {
-        ResultStore::Options o;
-        o.dir = ResultStore::resolveDir(flags.getStr("cache-dir", ""));
-        o.maxBytes =
-            ResultStore::resolveMaxBytes(flags.getInt("cache-max-mb", 0));
-        store_ = std::make_unique<ResultStore>(o);
-    }
+    ResultStore::Options o;
+    o.dir = ResultStore::resolveDir(flags.getStr("cache-dir", ""));
+    o.maxBytes =
+        ResultStore::resolveMaxBytes(flags.getInt("cache-max-mb", 0));
+    return o;
+}
 
-    /** eng.runGemm(g, cores, vpus), served from the store when it has
-     *  this exact (machine, features, workload) before. Simulated
-     *  results are persisted as they complete; a cached result is
-     *  bit-identical to the simulation it replaces (the store
-     *  round-trips every stat verbatim). */
-    KernelResult
-    run(const Engine &eng, const GemmConfig &g, int cores, int vpus)
-    {
-        const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
-                         casGemmWorkload(g, cores, vpus)};
-        CasValue v;
-        if (store_->lookup(key, &v))
-            return kernelResultOf(v);
-        KernelResult kr = eng.runGemm(g, cores, vpus);
-        if (store_->enabled())
-            store_->insert(key, casValueOf(kr));
-        return kr;
-    }
+/**
+ * The environment snapshot with the flags save-serve and save-shard
+ * share (--threads, --isolation, --cache-dir, --cache-max-mb,
+ * --worker-bin) laid over it. A bad --isolation fails here, at
+ * startup.
+ */
+inline RuntimeOptions
+runtimeOptions(const Flags &flags)
+{
+    RuntimeOptions rt = RuntimeOptions::fromEnv();
+    if (int threads = flags.getInt("threads", 0); threads != 0)
+        rt.threads = threads;
+    if (std::string iso = flags.getStr("isolation", ""); !iso.empty())
+        rt.isolation = iso;
+    if (std::string dir = flags.getStr("cache-dir", ""); !dir.empty())
+        rt.cacheDir = dir;
+    if (int mb = flags.getInt("cache-max-mb", 0); mb != 0)
+        rt.cacheMaxMb = mb;
+    if (std::string bin = flags.getStr("worker-bin", ""); !bin.empty())
+        rt.workerBin = bin;
+    rt.resolveIsolation();
+    return rt;
+}
 
-    const ResultStore *store() const { return store_.get(); }
+/** --cache-stats: the store-counter line printed to stderr after the
+ *  run, or "" without the flag or a store (estimator without one). */
+inline std::string
+cacheStatsLine(const Flags &flags, const ResultStore *store)
+{
+    if (!flags.has("cache-stats") || store == nullptr)
+        return "";
+    return "cache " +
+           (store->enabled() ? store->dir() : std::string("(disabled)")) +
+           ": " + store->statsSnapshot().toJson() + "\n";
+}
 
-  private:
-    std::unique_ptr<ResultStore> store_;
-};
-
-/** --cache-stats: one stderr line of store counters after the run.
- *  Accepts a null store (estimator without one) as a no-op. */
 inline void
 maybePrintCacheStats(const Flags &flags, const ResultStore *store)
 {
-    if (!flags.has("cache-stats") || store == nullptr)
-        return;
-    std::fprintf(stderr, "cache %s: %s\n",
-                 store->enabled() ? store->dir().c_str() : "(disabled)",
-                 store->statsSnapshot().toJson().c_str());
+    std::fputs(cacheStatsLine(flags, store).c_str(), stderr);
 }
 
 /**
@@ -271,8 +267,44 @@ sweepOptions(const Flags &flags)
     return o;
 }
 
-// sweepHash — the stable journal id — lives in util/journal.h now,
-// shared with the shard coordinator so both compute identical ids.
+/**
+ * The end-of-sweep report both SweepRunner::finish and save-shard
+ * print to stderr: the journal's resume summary (when `journal` is
+ * set), the permanent failures, then `extra_report`. Returns the
+ * process exit code: 0 when the failures plus `extra_failures` stay
+ * within `max_failures`, 1 otherwise.
+ */
+inline int
+finishSweep(const std::string &journal, size_t resumed, size_t computed,
+            const std::vector<SweepFailure> &failures,
+            size_t extra_failures, const std::string &extra_report,
+            int max_failures)
+{
+    if (!journal.empty())
+        std::fprintf(stderr,
+                     "journal %s: %zu point(s) resumed, %zu "
+                     "computed\n",
+                     journal.c_str(), resumed, computed);
+    if (!failures.empty()) {
+        std::fprintf(stderr, "%zu sweep point(s) failed permanently:\n",
+                     failures.size());
+        for (const SweepFailure &f : failures)
+            std::fprintf(stderr, "  %s: %s (%d attempts)\n",
+                         f.key.c_str(), f.reason.c_str(), f.attempts);
+    }
+    std::fputs(extra_report.c_str(), stderr);
+    size_t total = failures.size() + extra_failures;
+    if (total == 0)
+        return 0;
+    if (total <= static_cast<size_t>(max_failures)) {
+        std::fprintf(stderr,
+                     "%zu failure(s) within --max-failures=%d; "
+                     "exiting 0\n",
+                     total, max_failures);
+        return 0;
+    }
+    return 1;
+}
 
 /**
  * Fault-isolated, journaled sweep driver.
@@ -369,55 +401,21 @@ class SweepRunner
     }
     bool journaling() const { return journal_ != nullptr; }
 
-    /**
-     * Print the resume summary and failure report (stderr), then
-     * return the process exit code: 0 when total failures (sweep +
-     * `extra`, e.g. estimator slice failures) stay within
-     * --max-failures, 1 otherwise.
-     */
+    /** finishSweep() over this runner's journal and failures: the
+     *  report on stderr, the process exit code returned. `extra` adds
+     *  failures outside the sweep points (e.g. estimator slices). */
     int
     finish(size_t extra_failures = 0,
            const std::string &extra_report = "")
     {
-        if (journal_)
-            std::fprintf(stderr,
-                         "journal %s: %zu point(s) resumed, %zu "
-                         "computed\n",
-                         journal_->path().c_str(), resumedPoints(),
-                         computedPoints());
         std::lock_guard<std::mutex> lk(mu_);
-        size_t total = failures_.size() + extra_failures;
-        if (!failures_.empty()) {
-            std::fprintf(stderr,
-                         "%zu sweep point(s) failed permanently:\n",
-                         failures_.size());
-            for (const Failure &f : failures_)
-                std::fprintf(stderr, "  %s: %s (%d attempts)\n",
-                             f.key.c_str(), f.reason.c_str(),
-                             f.attempts);
-        }
-        if (!extra_report.empty())
-            std::fprintf(stderr, "%s", extra_report.c_str());
-        if (total == 0)
-            return 0;
-        if (total <= static_cast<size_t>(opt_.maxFailures)) {
-            std::fprintf(stderr,
-                         "%zu failure(s) within --max-failures=%d; "
-                         "exiting 0\n",
-                         total, opt_.maxFailures);
-            return 0;
-        }
-        return 1;
+        return finishSweep(journal_ ? journal_->path() : std::string(),
+                           resumedPoints(), computedPoints(), failures_,
+                           extra_failures, extra_report,
+                           opt_.maxFailures);
     }
 
   private:
-    struct Failure
-    {
-        std::string key;
-        std::string reason;
-        int attempts;
-    };
-
     /** A journaled point resumes only if it is a real value: a
      *  NaN-poisoned record (a permanently failed point journaled by an
      *  older run) is treated as a miss so the resumed run re-attempts
@@ -448,7 +446,7 @@ class SweepRunner
     std::atomic<size_t> resumed_{0};
     std::atomic<size_t> computed_{0};
     std::mutex mu_;
-    std::vector<Failure> failures_;
+    std::vector<SweepFailure> failures_;
 };
 
 /** Print the shared flag reference (stderr). */
@@ -499,8 +497,9 @@ printBenchUsage(const char *argv0)
 }
 
 /**
- * Run a bench body with the shared error policy: ConfigError prints
- * the message plus the flag reference and exits 2 (usage error);
+ * Run a bench body with the shared error policy: --help prints
+ * `usage` and exits 0; ConfigError prints the message plus `usage`
+ * and exits 2 (usage error);
  * any other SimError (deadlock, cache corruption under --fail-fast)
  * prints what it knows — including the pipeline snapshot for
  * deadlocks — and exits 1. Returns the body's own exit code
@@ -508,12 +507,13 @@ printBenchUsage(const char *argv0)
  */
 template <typename Fn>
 int
-benchMain(int argc, char **argv, Fn body)
+benchMain(int argc, char **argv, Fn body,
+          void (*usage)(const char *argv0) = printBenchUsage)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--help") == 0 ||
             std::strcmp(argv[i], "-h") == 0) {
-            printBenchUsage(argv[0]);
+            usage(argv[0]);
             return 0;
         }
         // --trace-events=PATH maps onto SAVE_TRACE_EVENTS so every
@@ -529,7 +529,7 @@ benchMain(int argc, char **argv, Fn body)
         return body();
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "error: %s\n\n", e.what());
-        printBenchUsage(argc > 0 ? argv[0] : "bench");
+        usage(argc > 0 ? argv[0] : "bench");
         return 2;
     } catch (const DeadlockError &e) {
         std::fprintf(stderr, "error: %s\n%s", e.what(),

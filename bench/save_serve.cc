@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "bench_util.h"
 #include "serve/server.h"
@@ -49,9 +48,6 @@ printUsage(const char *argv0)
         "--isolation=process\n"
         "  --config=FILE     key=value file re-read on SIGHUP "
         "(queue_cap=N)\n"
-        "  --v1-compat       emulate a protocol-v1 daemon (advertise\n"
-        "                    v1, reject batched SSHD jobs) — for "
-        "version-skew tests\n"
         "\n"
         "Drains gracefully on SIGTERM/SIGINT (finishes queued and\n"
         "in-flight work, exits 0). `save-ctl drain` does the same "
@@ -62,54 +58,23 @@ printUsage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            printUsage(argv[0]);
-            return 0;
-        }
-    }
-    try {
-        Flags flags(argc, argv);
-        RuntimeOptions rt = RuntimeOptions::fromEnv();
-        int threads = flags.getInt("threads", 0);
-        if (threads != 0)
-            rt.threads = threads;
-        std::string iso = flags.getStr("isolation", "");
-        if (!iso.empty())
-            rt.isolation = iso;
-        std::string cache_dir = flags.getStr("cache-dir", "");
-        if (!cache_dir.empty())
-            rt.cacheDir = cache_dir;
-        int cache_mb = flags.getInt("cache-max-mb", 0);
-        if (cache_mb != 0)
-            rt.cacheMaxMb = cache_mb;
-        std::string worker_bin = flags.getStr("worker-bin", "");
-        if (!worker_bin.empty())
-            rt.workerBin = worker_bin;
-        // Fail fast on a bad isolation string instead of at the first
-        // request.
-        rt.resolveIsolation();
-
-        ServeServer::Options o;
-        o.socketPath = flags.getStr("socket", "");
-        o.workers = flags.getInt("workers", 2);
-        o.queueCap = flags.getInt("queue-cap", 8);
-        o.configPath = flags.getStr("config", "");
-        o.v1Compat = flags.has("v1-compat");
-        // Straggler-injection hook for the shard fault tests: sleep
-        // this long before each shard point.
-        if (const char *d = std::getenv("SAVE_SERVE_TEST_POINT_DELAY_MS"))
-            o.testPointDelayMs = std::atoi(d);
-        o.runtime = rt;
-        ServeServer server(std::move(o));
-        return server.run();
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "error: %s\n\n", e.what());
-        printUsage(argv[0]);
-        return 2;
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    return benchMain(
+        argc, argv,
+        [&] {
+            Flags flags(argc, argv);
+            ServeServer::Options o;
+            o.runtime = runtimeOptions(flags);
+            o.socketPath = flags.getStr("socket", "");
+            o.workers = flags.getInt("workers", 2);
+            o.queueCap = flags.getInt("queue-cap", 8);
+            o.configPath = flags.getStr("config", "");
+            // Straggler-injection hook for the shard fault tests: sleep
+            // this long before each shard point.
+            if (const char *d =
+                    std::getenv("SAVE_SERVE_TEST_POINT_DELAY_MS"))
+                o.testPointDelayMs = std::atoi(d);
+            ServeServer server(std::move(o));
+            return server.run();
+        },
+        printUsage);
 }

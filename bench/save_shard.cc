@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench_util.h"
 #include "shard/coordinator.h"
@@ -32,9 +31,9 @@ printUsage(const char *argv0)
         "usage: %s [options]\n"
         "  --sockets=A,B,..  save-serve daemon sockets to dispatch "
         "batched\n"
-        "                    shard jobs to (protocol v2; v1 daemons "
-        "are\n"
-        "                    excluded with a warning)\n"
+        "                    shard jobs to (a daemon of another "
+        "protocol\n"
+        "                    version is excluded with a warning)\n"
         "  --inproc=N        in-process lanes over one shared session "
         "(default 1;\n"
         "                    0 relies entirely on the daemons)\n"
@@ -84,26 +83,7 @@ run(int argc, char **argv)
     o.stragglerMs = flags.getInt("straggler-ms", 0);
     o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", 120000);
 
-    // The same knob plumbing as bench_fig14 / save-serve: snapshot
-    // the environment once, then let flags override it.
-    RuntimeOptions rt = RuntimeOptions::fromEnv();
-    int threads = flags.getInt("threads", 0);
-    if (threads != 0)
-        rt.threads = threads;
-    std::string iso = flags.getStr("isolation", "");
-    if (!iso.empty())
-        rt.isolation = iso;
-    std::string cache_dir = flags.getStr("cache-dir", "");
-    if (!cache_dir.empty())
-        rt.cacheDir = cache_dir;
-    int cache_mb = flags.getInt("cache-max-mb", 0);
-    if (cache_mb != 0)
-        rt.cacheMaxMb = cache_mb;
-    std::string worker_bin = flags.getStr("worker-bin", "");
-    if (!worker_bin.empty())
-        rt.workerBin = worker_bin;
-    rt.resolveIsolation();
-    o.runtime = rt;
+    o.runtime = runtimeOptions(flags);
 
     o.knobs.gridStep = flags.getInt("grid", 3);
     o.knobs.kSteps = flags.getInt("ksteps", o.knobs.kSteps);
@@ -127,58 +107,17 @@ run(int argc, char **argv)
                      "re-dispatch(es), %zu backend(s) excluded\n",
                      st.requeues, st.speculative,
                      st.backendsExcluded);
-    // The same summary/exit contract as SweepRunner::finish, so
-    // resume tests and humans read one format.
-    if (!sw.journalPath.empty())
-        std::fprintf(stderr,
-                     "journal %s: %zu point(s) resumed, %zu "
-                     "computed\n",
-                     sw.journalPath.c_str(), st.resumed, st.computed);
-    if (!st.failures.empty()) {
-        std::fprintf(stderr,
-                     "%zu sweep point(s) failed permanently:\n",
-                     st.failures.size());
-        for (const ShardCoordinator::PermanentFailure &f : st.failures)
-            std::fprintf(stderr, "  %s: %s (%d attempts)\n",
-                         f.key.c_str(), f.reason.c_str(), f.attempts);
-    }
-    maybePrintCacheStats(flags, coord.resultStore());
-
-    size_t total = st.failures.size();
-    if (total == 0)
-        return 0;
-    if (total <= static_cast<size_t>(sw.maxFailures)) {
-        std::fprintf(stderr,
-                     "%zu failure(s) within --max-failures=%d; "
-                     "exiting 0\n",
-                     total, sw.maxFailures);
-        return 0;
-    }
-    return 1;
+    // SweepRunner::finish's report and exit contract, so resume tests
+    // and humans read one format.
+    return finishSweep(sw.journalPath, st.resumed, st.computed,
+                       st.failures, 0,
+                       cacheStatsLine(flags, coord.resultStore()),
+                       sw.maxFailures);
 }
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            printUsage(argv[0]);
-            return 0;
-        }
-    }
-    try {
-        return run(argc, argv);
-    } catch (const ConfigError &e) {
-        std::fprintf(stderr, "error: %s\n\n", e.what());
-        printUsage(argv[0]);
-        return 2;
-    } catch (const DeadlockError &e) {
-        std::fprintf(stderr, "error: %s\n%s", e.what(),
-                     e.snapshot().c_str());
-        return 1;
-    } catch (const SimError &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-    }
+    return benchMain(argc, argv, [&] { return run(argc, argv); },
+                     printUsage);
 }

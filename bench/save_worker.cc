@@ -8,6 +8,8 @@
  * each REQ frame simulates one surface slice and answers RES (time,
  * cycles, frequency, full stat map) or ERR (a SimError-taxonomy kind
  * the parent rethrows). Logs go to stderr; stdout carries frames only.
+ * The worker only simulates: the parent holds each slice's result-store
+ * flight and is the one process that persists the result.
  *
  * The worker is where process-level fault injection lands: it inherits
  * SAVE_FAULT_INJECT across exec and applies crash/abort/hang/oom modes
@@ -19,13 +21,11 @@
  */
 
 #include <exception>
-#include <memory>
 #include <new>
 
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "cache/cas_key.h"
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "proc/wire_codec.h"
@@ -82,20 +82,6 @@ serve()
     }
     applyRssCap(init.rssCapMb);
 
-    // The worker opens its own handle on the shared result store and
-    // persists every slice it simulates *before* replying, so a result
-    // lands on disk exactly once: the parent's own insert then finds
-    // the record and appends nothing. A cache hit here answers the REQ
-    // without simulating at all (e.g. a retry of a slice whose first
-    // attempt crashed after the insert).
-    std::unique_ptr<ResultStore> store;
-    if (!init.cacheDir.empty()) {
-        ResultStore::Options sopt;
-        sopt.dir = init.cacheDir;
-        sopt.maxBytes = init.cacheMaxBytes;
-        store = std::make_unique<ResultStore>(sopt);
-    }
-
     if (!wireWrite(STDOUT_FILENO, kWireHelloAck, kWireVersion, {}))
         return 1;
 
@@ -116,18 +102,9 @@ serve()
         try {
             FaultInjector::global().maybeCrashSlice(req.keyHash,
                                                     attempt);
-            const CasKey ck{init.configHash,
-                            casSliceWorkload(req.key)};
-            // Plain lookup/insert: the parent already holds this key's
-            // single-flight claim.
-            CasValue v;
-            if (!store || !store->lookup(ck, &v)) {
-                v = casValueOf(TrainingEstimator::simulateSliceKernel(
-                    init.mcfg, init.scfg, req.key, init.tiles,
-                    init.cores, init.seed));
-                if (store)
-                    store->insert(ck, v);
-            }
+            CasValue v = casValueOf(TrainingEstimator::simulateSliceKernel(
+                init.mcfg, init.scfg, req.key, init.tiles, init.cores,
+                init.seed));
             WireSliceResult res;
             res.timeNs = v.timeNs;
             res.cycles = v.cycles;

@@ -8,9 +8,8 @@
  *  - `cfg`: everything *outside* the workload that shifts results —
  *    every MachineConfig and SaveConfig field plus a caller salt
  *    (estimator seed/tiles/cores, or 0 for raw Engine runs). This is
- *    the same digest the `.savtrc` trace header and the v1 surface
- *    cache carry, computed by casHashConfig() (SurfaceCache::
- *    hashConfig delegates here so the two can never drift).
+ *    the same digest the `.savtrc` trace header carries (there salted
+ *    with the VPU count), computed by casHashConfig().
  *  - `wl`: the workload identity — either an estimator surface point
  *    (SliceKey: micro-kernel shape, pattern, precision, SAVE on/off,
  *    VPU count, sparsity bins) or a raw GEMM slice (GemmConfig plus
@@ -68,9 +67,7 @@ class CasHasher
 
 /**
  * Digest of every MachineConfig/SaveConfig field plus `salt` (caller
- * knobs outside the structs that shift results). Identical to the
- * historical SurfaceCache::hashConfig — that function now delegates
- * here.
+ * knobs outside the structs that shift results).
  */
 uint64_t casHashConfig(const MachineConfig &mcfg, const SaveConfig &scfg,
                        uint64_t salt);

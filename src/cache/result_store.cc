@@ -802,4 +802,14 @@ ResultStore::statsSnapshot() const
     return g;
 }
 
+KernelResult
+runGemmCached(ResultStore &store, const Engine &eng, const GemmConfig &g,
+              int cores, int vpus)
+{
+    const CasKey key{casHashConfig(eng.machine(), eng.save(), 0),
+                     casGemmWorkload(g, cores, vpus)};
+    return kernelResultOf(store.getOrCompute(
+        key, [&] { return casValueOf(eng.runGemm(g, cores, vpus)); }));
+}
+
 } // namespace save

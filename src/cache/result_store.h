@@ -2,9 +2,8 @@
  * @file
  * Persistent content-addressed store (CAS) for simulation results.
  *
- * Generalizes the v1 surface cache (dnn/surface_cache.h) from "one
- * record shape, one config, whole-file rewrites" to a store any
- * simulation result can land in exactly once:
+ * The one on-disk format for simulation results; any result lands in
+ * it exactly once:
  *
  *   key   = CasKey (config digest + workload digest, cache/cas_key.h)
  *   value = CasValue: slice time, cycle count, core frequency, and
@@ -31,8 +30,7 @@
  * refused — a NaN-poisoned result (exhausted retries) can never
  * poison the store.
  *
- * Robustness properties (inherited from the journal/surface-cache
- * discipline):
+ * Robustness properties (inherited from the journal discipline):
  *  - Corruption (bad fourcc, version skew, oversized length, CRC
  *    mismatch, or a torn record found at open) quarantines the whole
  *    shard to `<shard>.corrupt` with a warning; in-memory records the
@@ -92,6 +90,7 @@ struct CasValue
 };
 
 struct KernelResult;
+class Engine;
 
 /** A simulation result in its stored form, and back. The round trip
  *  is bit-identical. */
@@ -316,6 +315,17 @@ class ResultStore
     std::atomic<uint64_t> evictions_{0};
     std::atomic<uint64_t> quarantines_{0};
 };
+
+/**
+ * eng.runGemm(g, cores, vpus) memoized in `store` through
+ * getOrCompute, keyed by the engine's machine and features (config
+ * digest, salt 0) plus casGemmWorkload. A stored slice comes back
+ * bit-identical without simulating, and one another process is
+ * simulating is waited for. SimSession::runGemm and the Engine-driven
+ * benches both call it, so they share records.
+ */
+KernelResult runGemmCached(ResultStore &store, const Engine &eng,
+                           const GemmConfig &g, int cores, int vpus);
 
 } // namespace save
 

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -136,43 +135,14 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
                 isolation_ + ")");
     }
 
-    uint64_t cache_max_bytes = 0;
     if (shared_store) {
         store_ = shared_store;
-        cache_max_bytes = shared_store->maxBytes();
     } else {
         ResultStore::Options sopt;
         sopt.dir = ResultStore::resolveDir(opt_.cacheDir);
         sopt.maxBytes = ResultStore::resolveMaxBytes(opt_.cacheMaxMb);
-        cache_max_bytes = sopt.maxBytes;
         owned_store_ = std::make_unique<ResultStore>(sopt);
         store_ = owned_store_.get();
-    }
-
-    // Migrate a v1 surface-cache file for this config into the store
-    // (quarantine-on-mismatch semantics unchanged: a corrupt v1 file
-    // is moved to .corrupt by load() exactly as before). Migrated
-    // records carry the slice time only — the only field the
-    // estimator consumes — and the source file is renamed aside so
-    // migration happens once.
-    if (store_->enabled()) {
-        SurfaceCache legacy(store_->dir(), config_hash_);
-        std::vector<SurfaceRecord> records;
-        if (legacy.load(records)) {
-            for (const SurfaceRecord &r : records) {
-                Key k{r.mr, r.nr, r.kSteps, r.pattern, r.precision,
-                      r.saveOn, r.vpus, r.wBin, r.aBin};
-                CasValue v;
-                v.timeNs = r.timeNs;
-                store_->insert(casKey(k), v);
-            }
-            std::error_code ec;
-            std::filesystem::rename(legacy.path(),
-                                    legacy.path() + ".migrated", ec);
-            SAVE_INFORM("migrated ", records.size(),
-                        " v1 surface record(s) into the result store ",
-                        store_->dir());
-        }
     }
 
     if (isolation_ != "none") {
@@ -197,8 +167,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
         init.cores = opt_.cores;
         init.seed = opt_.seed;
         init.configHash = config_hash_;
-        init.cacheDir = store_->dir();
-        init.cacheMaxBytes = cache_max_bytes;
         proc_pool_ = std::make_unique<WorkerPool>(p, init);
     }
 }
@@ -355,8 +323,8 @@ TrainingEstimator::simulateWithRetry(const Key &key)
 double
 TrainingEstimator::computeCold(const Key &key)
 {
-    // A worker-run slice was persisted by its worker before it replied;
-    // the store's insert then finds that record and appends nothing.
+    // The caller that wins this key's flight is its only writer, also
+    // when the slice itself runs in a sandboxed worker.
     auto simulate = [&] {
         KernelResult r = simulateWithRetry(key);
         if (std::isfinite(r.timeNs))

@@ -46,7 +46,6 @@
 #include "cache/result_store.h"
 #include "dnn/networks.h"
 #include "dnn/slice_batch.h"
-#include "dnn/surface_cache.h"
 #include "engine/engine.h"
 #include "proc/worker_pool.h"
 #include "util/thread_pool.h"

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "dnn/surface_cache.h"
+#include "cache/cas_key.h"
 #include "sim/multicore.h"
 #include "sim/reference.h"
 #include "trace/trace_writer.h"
@@ -63,8 +63,8 @@ Engine::runGemmImpl(const GemmConfig &cfg, int cores, int vpus,
     std::unique_ptr<TraceWriter> writer;
     if (trace_path) {
         writer = std::make_unique<TraceWriter>(
-            *trace_path, SurfaceCache::hashConfig(
-                             mc, scfg_, static_cast<uint64_t>(vpus)));
+            *trace_path,
+            casHashConfig(mc, scfg_, static_cast<uint64_t>(vpus)));
         writer->writeConfig(
             traceConfigText(mc, scfg_, vpus, kernel_name));
         writer->writeImage(image);

@@ -46,8 +46,6 @@ wireEncodeSessionInit(const WireSessionInit &s)
     tracePutU32(out, static_cast<uint32_t>(s.cores));
     tracePutU64(out, s.seed);
     tracePutU32(out, static_cast<uint32_t>(s.rssCapMb));
-    framePutString(out, s.cacheDir);
-    tracePutU64(out, s.cacheMaxBytes);
     return out;
 }
 
@@ -69,8 +67,6 @@ wireDecodeSessionInit(const std::vector<uint8_t> &payload)
     s.cores = static_cast<int>(traceGetU32(p, end));
     s.seed = traceGetU64(p, end);
     s.rssCapMb = static_cast<int>(traceGetU32(p, end));
-    s.cacheDir = frameGetString(p, end);
-    s.cacheMaxBytes = traceGetU64(p, end);
     if (p != end)
         throw TraceError("wire: trailing bytes after session init");
     return s;

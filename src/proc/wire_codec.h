@@ -46,10 +46,8 @@
 
 namespace save {
 
-/** Protocol version; bumped on any frame-layout change.
- *  v2: session init carries the result-store directory and size cap so
- *  workers persist their own results into the shared store. */
-constexpr uint32_t kWireVersion = 2;
+/** Protocol version; bumped on any frame-layout change. */
+constexpr uint32_t kWireVersion = 3;
 
 /** Frame kinds (fourcc, little-endian first byte first). */
 constexpr uint32_t kWireHello = traceFourcc('H', 'E', 'L', 'O');
@@ -102,14 +100,8 @@ struct WireSessionInit
     uint64_t seed = 0;
     /** RLIMIT_AS cap for the worker, MB; 0 = none. */
     int rssCapMb = 0;
-    /** Parent's surface config hash, echoed for log correlation and
-     *  used as the worker's CAS config digest. */
+    /** Parent's config digest (casHashConfig, estimator-salted). */
     uint64_t configHash = 0;
-    /** Result-store directory the worker persists into; empty
-     *  disables the worker-side store. */
-    std::string cacheDir;
-    /** Result-store size cap in bytes; 0 = unlimited. */
-    uint64_t cacheMaxBytes = 0;
 };
 
 std::vector<uint8_t> wireEncodeSessionInit(const WireSessionInit &s);

@@ -76,11 +76,9 @@ class ServeClient
     /**
      * Send one batched SSHD shard job (protocol v2) and stream every
      * per-point ack through `onAck`; the terminal frame becomes the
-     * Reply exactly as in call(). A v1 daemon answers SSHD with a
-     * typed Trace SERR (unknown fourcc), which surfaces here as
-     * Reply::Kind::Error — the coordinator's cue to stop sending this
-     * backend batches. `timeout_ms` bounds every frame read and
-     * resets at each ack.
+     * Reply exactly as in call(); a daemon that rejects the job
+     * answers a typed SERR, which surfaces here as Reply::Kind::Error.
+     * `timeout_ms` bounds every frame read and resets at each ack.
      */
     Reply callShard(const ServeShardJob &job,
                     const AckFn &onAck = nullptr,

@@ -295,13 +295,9 @@ ServeServer::handleConnection(int fd)
     bool is_shard = false;
     try {
         // A client that connects and dawdles must not wedge the
-        // accept loop: the whole request has 2s to arrive. In
-        // --v1-compat mode the v1 predicate rejects SSHD with the
-        // same unknown-fourcc TraceError a real v1 build raises.
-        FrameRead r = frameReadFd(
-            fd, f, 2000,
-            opt_.v1Compat ? serveKnownFourccV1 : serveKnownFourcc,
-            kServeMaxPayload, "serve");
+        // accept loop: the whole request has 2s to arrive.
+        FrameRead r = frameReadFd(fd, f, 2000, serveKnownFourcc,
+                                  kServeMaxPayload, "serve");
         if (r != FrameRead::Ok) {
             if (r == FrameRead::Timeout)
                 SAVE_WARN("dropping client: no request within 2s");
@@ -392,7 +388,7 @@ ServeStatus
 ServeServer::statusSnapshot()
 {
     ServeStatus s;
-    s.version = opt_.v1Compat ? 1 : kServeVersion;
+    s.version = kServeVersion;
     s.workers = static_cast<uint32_t>(opt_.workers);
     s.queueCap = static_cast<uint32_t>(queueCap_.load());
     {

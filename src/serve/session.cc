@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cache/cas_key.h"
 #include "util/error.h"
 
 namespace save {
@@ -70,15 +69,8 @@ SimSession::~SimSession() = default;
 KernelResult
 SimSession::runGemm(const GemmConfig &g, int cores, int vpus)
 {
-    // Exactly BenchResultCache's key (bench/bench_util.h): salt 0 for
-    // raw Engine runs, so served and benched repeats share entries.
-    const CasKey key{casHashConfig(opt_.mcfg, opt_.scfg, 0),
-                     casGemmWorkload(g, cores, vpus)};
-    auto simulate = [&] {
-        Engine eng(opt_.mcfg, opt_.scfg);
-        return casValueOf(eng.runGemm(g, cores, vpus));
-    };
-    return kernelResultOf(store_->getOrCompute(key, simulate));
+    return runGemmCached(*store_, Engine(opt_.mcfg, opt_.scfg), g, cores,
+                         vpus);
 }
 
 TrainingEstimator &

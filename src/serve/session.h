@@ -15,9 +15,10 @@
  *
  * Results are bit-identical to the standalone benches by
  * construction:
- *  - runGemm uses the same CasKey as BenchResultCache
- *    (bench/bench_util.h), so a repeat slice — served or benched — is
- *    answered from the shared store in O(1) without re-simulating;
+ *  - runGemm memoizes through runGemmCached (cache/result_store.h),
+ *    as the Engine-driven benches do, so a repeat slice — served or
+ *    benched — is answered from the shared store without
+ *    re-simulating;
  *  - runFig14 renders through the shared dnn/fig14_report.h renderer
  *    over TrainingEstimator, so a served sweep's text matches
  *    `bench_fig14` stdout to the byte.
@@ -91,8 +92,8 @@ class SimSession
 
     /**
      * One GEMM slice simulation, memoized in the content-addressed
-     * store under the exact key BenchResultCache uses: a slice the
-     * benches (or a previous request) already ran is answered from
+     * store by runGemmCached, the function the benches use: a slice
+     * the benches (or a previous request) already ran is answered from
      * the store without re-simulating, and a slice another process
      * is simulating is waited for (ResultStore::getOrCompute).
      */

@@ -268,9 +268,9 @@ ShardCoordinator::daemonLane(const std::string &socket)
 {
     ServeClient client(socket);
 
-    // Version negotiation: only a daemon that speaks the shard
-    // version gets batches; an old one keeps serving its v1 kinds
-    // for other clients, we just leave it alone.
+    // Version check: the status reply comes from another process, so
+    // only a daemon that speaks this build's protocol gets batches;
+    // any other is excluded and left alone.
     try {
         ServeRequest sreq;
         sreq.kind = ServeKind::Status;
@@ -278,12 +278,12 @@ ShardCoordinator::daemonLane(const std::string &socket)
             client.call(sreq, nullptr, opt_.rpcTimeoutMs);
         if (reply.kind != ServeClient::Reply::Kind::Ok)
             throw SimError("status probe not answered");
-        if (reply.status.version < kServeShardVersion) {
+        if (reply.status.version != kServeVersion) {
             backendLost(socket,
                         "speaks protocol v" +
                             std::to_string(reply.status.version) +
-                            " (batched shard jobs need v" +
-                            std::to_string(kServeShardVersion) + ")");
+                            " (this build speaks v" +
+                            std::to_string(kServeVersion) + ")");
             return;
         }
     } catch (const std::exception &e) {

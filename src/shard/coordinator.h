@@ -40,7 +40,8 @@
  *    SweepRunner, so the rest of the sweep still completes;
  *  - a daemon that fails `kMaxBackendFaults` consecutive dispatches
  *    (faults, Busy replies and refused connections all count), or
- *    that speaks protocol v1 (no SSHD), is excluded with a warning:
+ *    whose status probe reports a protocol version other than
+ *    kServeVersion, is excluded with a warning:
  *    graceful degradation to the remaining backends;
  *  - a straggler (a dispatched point older than `stragglerMs`) is
  *    speculatively re-dispatched to any idle backend; the first
@@ -105,13 +106,6 @@ class ShardCoordinator
         RuntimeOptions runtime{};
     };
 
-    struct PermanentFailure
-    {
-        std::string key;
-        std::string reason;
-        int attempts = 0;
-    };
-
     struct Stats
     {
         size_t resumed = 0;    ///< points replayed from the journal
@@ -120,7 +114,7 @@ class ShardCoordinator
         size_t requeues = 0;   ///< points re-queued after a fault
         size_t speculative = 0; ///< straggler re-dispatches
         size_t backendsExcluded = 0;
-        std::vector<PermanentFailure> failures;
+        std::vector<SweepFailure> failures;
     };
 
     explicit ShardCoordinator(Options opt);

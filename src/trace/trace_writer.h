@@ -38,7 +38,7 @@ class TraceWriter
 {
   public:
     /** Opens `path` and writes the file header. config_hash is the
-     *  SurfaceCache::hashConfig digest of the effective configs. */
+     *  casHashConfig digest of the effective configs. */
     TraceWriter(std::string path, uint64_t config_hash);
     ~TraceWriter();
 

@@ -21,7 +21,7 @@
  *                    injected slice faults, see fault_injection.h).
  *   DeadlockError -- the retirement watchdog detected no forward
  *                    progress; carries a pipeline snapshot.
- *   CacheError    -- a persistent artifact (surface cache, sweep
+ *   CacheError    -- a persistent artifact (result store, sweep
  *                    journal) cannot be read or written; carries the
  *                    path.
  *   AuditError    -- the cycle-granular invariant auditor (built with

@@ -12,9 +12,9 @@
  *    TraceError. The selection depends only on (seed, key), never on
  *    scheduling, so a run with injection and max-retries >= times
  *    produces output bit-identical to a fault-free run.
- *  - Cache tampering: after the surface cache atomically writes a
- *    file, truncate it or flip one bit, exercising the corrupt-file
- *    quarantine on the next load.
+ *  - Cache tampering: truncate a result-store shard or flip one bit
+ *    in it (when the store opens it, or after an append), exercising
+ *    the corrupt-shard quarantine on the next load.
  *  - Watchdog on demand: force a core's retirement watchdog to fire
  *    at a chosen cycle, exercising the snapshot/DeadlockError path
  *    without constructing a real deadlock.
@@ -66,9 +66,9 @@ struct FaultPlan
     /** How many attempts of a selected slice fail before succeeding
      *  (1 = fail once, succeed on first retry). */
     int sliceTimes = 1;
-    /** Probability that a surface-cache save leaves a truncated file. */
+    /** Probability that a result-store write leaves a truncated shard. */
     double cacheTruncateProb = 0.0;
-    /** Probability that a surface-cache save leaves a bit-flipped file. */
+    /** Probability that a result-store write leaves a bit-flipped shard. */
     double cacheBitflipProb = 0.0;
     /** Core whose watchdog is force-fired (-1 = none). */
     int watchdogCore = -1;
@@ -139,8 +139,8 @@ class FaultInjector
     uint64_t watchdogFireCycle(int core) const;
 
     /** Deterministically truncate or bit-flip the file at `path`
-     *  (post-rename surface-cache hook); `key` salts the decision so
-     *  successive saves differ. */
+     *  (result-store and trace-file hook); `key` salts the decision so
+     *  successive writes differ. */
     void maybeTamperCacheFile(const std::string &path, uint64_t key);
 
     /** Parse a SAVE_FAULT_INJECT spec. Throws ConfigError on

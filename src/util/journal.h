@@ -64,6 +64,15 @@ namespace save {
 uint64_t sweepHash(const char *bench,
                    std::initializer_list<int64_t> knobs);
 
+/** A sweep point that failed permanently: its journal key, the last
+ *  error and the attempts spent on it. */
+struct SweepFailure
+{
+    std::string key;
+    std::string reason;
+    int attempts = 0;
+};
+
 /** Crash-tolerant key->payload journal for sweep checkpointing. */
 class SweepJournal
 {

@@ -8,7 +8,7 @@
  * pipes. Every file and pipe transfer in the harness goes through
  * these loops instead: they retry on EINTR, continue after short
  * transfers, and make end-of-file, success, and hard errors
- * distinguishable. Used by the sweep journal, the surface cache, and
+ * distinguishable. Used by the sweep journal, the result store, and
  * the out-of-process worker wire codec (src/proc).
  */
 

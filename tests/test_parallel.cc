@@ -3,8 +3,7 @@
  * Tests for the parallel simulation layer: the work-stealing thread
  * pool, the estimator's concurrent slice fan-out (results must be
  * bit-identical to the serial path for every thread count), the
- * sweep-wide fan-out behind SimSession::runFig14 and its cancellation,
- * and the persistent surface cache.
+ * sweep-wide fan-out behind SimSession::runFig14 and its cancellation.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -23,7 +21,6 @@
 
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
 #include "serve/session.h"
 #include "util/thread_pool.h"
 
@@ -303,194 +300,6 @@ TEST(SweepFanOut, ConcurrentSweepReclaimsSlicesAnotherSweepDropped)
     EXPECT_EQ(report, ref.report);
     // Both sweeps share one estimator: every slice ran exactly once.
     EXPECT_EQ(s->simulations(), ref.keys);
-}
-
-// -------------------------------------------------------- surface cache
-
-class SurfaceCacheTest : public ::testing::Test
-{
-  protected:
-    SurfaceCacheTest()
-    {
-        dir_ = std::filesystem::temp_directory_path() /
-               ("save-cache-test-" +
-                std::to_string(::getpid()));
-        std::filesystem::remove_all(dir_);
-    }
-
-    ~SurfaceCacheTest() override { std::filesystem::remove_all(dir_); }
-
-    std::filesystem::path dir_;
-};
-
-TEST_F(SurfaceCacheTest, SaveLoadRoundTrip)
-{
-    SurfaceCache cache(dir_.string(), 0x1234abcd);
-    std::vector<SurfaceRecord> in;
-    for (int i = 0; i < 5; ++i) {
-        SurfaceRecord r;
-        r.mr = 7 + i;
-        r.nr = 3;
-        r.kSteps = 192;
-        r.pattern = static_cast<uint8_t>(i % 2);
-        r.precision = static_cast<uint8_t>(i % 2);
-        r.saveOn = 1;
-        r.vpus = 2;
-        r.wBin = static_cast<uint8_t>(i);
-        r.aBin = static_cast<uint8_t>(9 - i);
-        r.timeNs = 1000.5 * (i + 1);
-        in.push_back(r);
-    }
-    ASSERT_TRUE(cache.save(in));
-
-    std::vector<SurfaceRecord> out;
-    std::string why;
-    ASSERT_TRUE(cache.load(out, &why)) << why;
-    ASSERT_EQ(out.size(), in.size());
-    for (size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(out[i].mr, in[i].mr);
-        EXPECT_EQ(out[i].wBin, in[i].wBin);
-        EXPECT_EQ(out[i].aBin, in[i].aBin);
-        EXPECT_EQ(out[i].timeNs, in[i].timeNs); // exact, not approx
-    }
-}
-
-TEST_F(SurfaceCacheTest, RejectsConfigHashMismatch)
-{
-    SurfaceCache writer(dir_.string(), 1);
-    ASSERT_TRUE(writer.save({SurfaceRecord{}}));
-
-    // Same directory, same file *name* only if the hash matched — a
-    // different hash reads a different file and finds nothing...
-    SurfaceCache other(dir_.string(), 2);
-    std::vector<SurfaceRecord> out;
-    std::string why;
-    EXPECT_FALSE(other.load(out, &why));
-    EXPECT_TRUE(out.empty());
-
-    // ...and even a forged file under the expected name is rejected
-    // when the stored hash disagrees.
-    std::filesystem::copy_file(writer.path(), other.path());
-    EXPECT_FALSE(other.load(out, &why));
-    EXPECT_NE(why.find("config-hash mismatch"), std::string::npos)
-        << why;
-    EXPECT_TRUE(out.empty());
-}
-
-TEST_F(SurfaceCacheTest, RejectsVersionSkewAndGarbage)
-{
-    SurfaceCache cache(dir_.string(), 7);
-    ASSERT_TRUE(cache.save({SurfaceRecord{}}));
-
-    // Corrupt the version field (offset 8, after the u64 magic).
-    {
-        std::fstream f(cache.path(),
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(8);
-        uint32_t bad_version = SurfaceCache::kVersion + 1;
-        f.write(reinterpret_cast<const char *>(&bad_version),
-                sizeof(bad_version));
-    }
-    std::vector<SurfaceRecord> out;
-    std::string why;
-    EXPECT_FALSE(cache.load(out, &why));
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
-
-    // Garbage magic.
-    {
-        std::ofstream f(cache.path(),
-                        std::ios::binary | std::ios::trunc);
-        f << "this is not a surface cache";
-    }
-    EXPECT_FALSE(cache.load(out, &why));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST_F(SurfaceCacheTest, TruncatedRecordsRejected)
-{
-    SurfaceCache cache(dir_.string(), 7);
-    std::vector<SurfaceRecord> in(3);
-    ASSERT_TRUE(cache.save(in));
-    auto size = std::filesystem::file_size(cache.path());
-    std::filesystem::resize_file(cache.path(), size - 4);
-
-    std::vector<SurfaceRecord> out;
-    std::string why;
-    EXPECT_FALSE(cache.load(out, &why));
-    EXPECT_NE(why.find("truncated"), std::string::npos) << why;
-    EXPECT_TRUE(out.empty());
-}
-
-TEST_F(SurfaceCacheTest, DisabledCacheIsInert)
-{
-    SurfaceCache cache("", 7);
-    EXPECT_FALSE(cache.enabled());
-    EXPECT_FALSE(cache.save({SurfaceRecord{}}));
-    std::vector<SurfaceRecord> out;
-    EXPECT_FALSE(cache.load(out));
-}
-
-TEST_F(SurfaceCacheTest, HashSensitivity)
-{
-    MachineConfig m;
-    SaveConfig s;
-    uint64_t base = SurfaceCache::hashConfig(m, s, 0);
-    EXPECT_EQ(base, SurfaceCache::hashConfig(m, s, 0)); // stable
-
-    MachineConfig m2 = m;
-    m2.dramGBps += 1.0;
-    EXPECT_NE(base, SurfaceCache::hashConfig(m2, s, 0));
-
-    SaveConfig s2 = s;
-    s2.policy = SchedPolicy::VC;
-    EXPECT_NE(base, SurfaceCache::hashConfig(m, s2, 0));
-
-    EXPECT_NE(base, SurfaceCache::hashConfig(m, s, 1));
-}
-
-TEST_F(SurfaceCacheTest, EstimatorPersistsAndReloadsSurfaces)
-{
-    NetworkModel net = vgg16Dense();
-    net.convLayers.resize(2);
-
-    EstimatorOptions o;
-    o.kSteps = 24;
-    o.tiles = 1;
-    o.gridStep = 9;
-    o.threads = 2;
-    o.cacheDir = dir_.string();
-
-    NetResult cold, warm;
-    uint64_t cold_sims;
-    {
-        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-        EXPECT_EQ(est.persistentHits(), 0u);
-        cold = est.inference(net, Precision::Fp32);
-        cold_sims = est.simulations();
-        EXPECT_GT(cold_sims, 0u);
-        // Every simulated point was persisted as it completed.
-        ASSERT_NE(est.resultStore(), nullptr);
-        EXPECT_EQ(est.resultStore()->inserts(), cold_sims);
-    }
-
-    {
-        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-        warm = est.inference(net, Precision::Fp32);
-        // Warm run: every point served from the store (lookups are
-        // lazy, so hits accrue during evaluation), zero new
-        // simulations, bit-identical result.
-        EXPECT_EQ(est.persistentHits(), cold_sims);
-        EXPECT_EQ(est.simulations(), 0u);
-        EXPECT_EQ(std::memcmp(&cold, &warm, sizeof cold), 0);
-    }
-
-    // A different machine config must miss the store for every point.
-    MachineConfig other;
-    other.dramGBps *= 2;
-    TrainingEstimator est(other, SaveConfig{}, o);
-    est.inference(net, Precision::Fp32);
-    EXPECT_EQ(est.persistentHits(), 0u);
-    EXPECT_GT(est.simulations(), 0u);
 }
 
 } // namespace

@@ -4,9 +4,10 @@
  * derivation and delegation, bit-exact record round-trips, corruption
  * quarantine (manual tampering and SAVE_FAULT_INJECT cache modes),
  * LRU eviction under a byte cap, cross-process single-flight
- * (getOrCompute across handles and forked writers), v1 surface-cache
- * migration, and cold/warm estimator bit-identity across every
- * isolation mode.
+ * (getOrCompute across handles and forked writers), the memoized GEMM
+ * shared by the benches and SimSession, the parent as the only writer
+ * under process isolation, and cold/warm estimator bit-identity across
+ * every isolation mode.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,9 @@
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
+#include "engine/engine.h"
+#include "serve/session.h"
+#include "trace/trace_reader.h"
 #include "util/fault_injection.h"
 
 #ifndef SAVE_WORKER_BIN_PATH
@@ -117,9 +120,23 @@ TEST_F(ResultStoreTest, ConfigDigestIsStableAndDelegated)
     SaveConfig s;
     uint64_t base = casHashConfig(m, s, 0);
     EXPECT_EQ(base, casHashConfig(m, s, 0));
-    // SurfaceCache::hashConfig delegates to casHashConfig: the trace
-    // header, the v1 cache, and the CAS must agree forever.
-    EXPECT_EQ(base, SurfaceCache::hashConfig(m, s, 0));
+
+    // The trace header carries the same digest, over the effective
+    // one-core machine and salted with the VPU count.
+    {
+        GemmConfig g;
+        g.mr = 2;
+        g.nrVecs = 2;
+        g.kSteps = 8;
+        g.tiles = 1;
+        const std::string trace = (dir_ / "digest.savtrc").string();
+        Engine(m, s).recordGemm(g, trace, "gemm", 1, 2);
+        MachineConfig one = m;
+        one.dramGBps = m.dramGBps / m.cores;
+        one.cores = 1;
+        EXPECT_EQ(TraceReader(trace).configHash(),
+                  casHashConfig(one, s, 2));
+    }
 
     MachineConfig m2 = m;
     m2.dramGBps += 1.0;
@@ -333,25 +350,31 @@ TEST_F(ResultStoreTest, TornTailQuarantinesButKeepsValidatedPrefix)
 TEST_F(ResultStoreTest, BitflipQuarantinesShard)
 {
     const CasKey key{3, 0};
-    std::string shard;
-    {
-        ResultStore store(opts());
-        ASSERT_TRUE(store.insert(key, makeValue(9.0)));
-        shard = store.shardPath(3);
-    }
-    flipBit(shard, 1); // inside the frame fourcc
+    // A flipped bit inside the frame fourcc (offset 1) or the record
+    // version (offset 4: version skew).
+    for (std::streamoff offset : {1, 4}) {
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+        std::string shard;
+        {
+            ResultStore store(opts());
+            ASSERT_TRUE(store.insert(key, makeValue(9.0)));
+            shard = store.shardPath(3);
+        }
+        flipBit(shard, offset);
 
-    ResultStore store(opts());
-    EXPECT_EQ(store.quarantines(), 1u);
-    EXPECT_TRUE(fs::exists(shard + ".corrupt"));
-    EXPECT_FALSE(store.lookup(key, nullptr));
-    // Fresh inserts land in a clean replacement file.
-    EXPECT_TRUE(store.insert(key, makeValue(9.0)));
-    {
-        ResultStore reread(opts());
-        CasValue out;
-        EXPECT_TRUE(reread.lookup(key, &out));
-        EXPECT_TRUE(sameBits(out.timeNs, 9.0));
+        ResultStore store(opts());
+        EXPECT_EQ(store.quarantines(), 1u) << offset;
+        EXPECT_TRUE(fs::exists(shard + ".corrupt")) << offset;
+        EXPECT_FALSE(store.lookup(key, nullptr)) << offset;
+        // Fresh inserts land in a clean replacement file.
+        EXPECT_TRUE(store.insert(key, makeValue(9.0)));
+        {
+            ResultStore reread(opts());
+            CasValue out;
+            EXPECT_TRUE(reread.lookup(key, &out)) << offset;
+            EXPECT_TRUE(sameBits(out.timeNs, 9.0)) << offset;
+        }
     }
 }
 
@@ -761,17 +784,6 @@ fastOptions(const std::string &cache_dir)
     return o;
 }
 
-/** Mirror of the estimator's private optionSalt (seed, tiles, cores):
- *  keeps the v1-migration test honest about the config digest. */
-uint64_t
-optionSaltOf(const EstimatorOptions &o)
-{
-    uint64_t salt = o.seed;
-    salt = salt * 1000003ull + static_cast<uint64_t>(o.tiles);
-    salt = salt * 1000003ull + static_cast<uint64_t>(o.cores);
-    return salt;
-}
-
 TEST_F(ResultStoreTest, WarmRunsAreBitIdenticalAcrossIsolationModes)
 {
     NetworkModel net = vgg16Dense();
@@ -825,12 +837,12 @@ TEST_F(ResultStoreTest, SecondEstimatorReusesPointsTheFirstLanded)
     EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
 }
 
-TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
+TEST_F(ResultStoreTest, ParentIsTheOnlyWriterUnderProcessIsolation)
 {
     NetworkModel net = vgg16Dense();
     net.convLayers.resize(2);
     const std::string serial_dir = (dir_ / "serial").string();
-    const std::string worker_dir = (dir_ / "workers").string();
+    const std::string proc_dir = (dir_ / "proc").string();
 
     NetResult serial;
     {
@@ -841,76 +853,163 @@ TEST_F(ResultStoreTest, WorkerProcessesPersistTheirOwnResults)
         serial = est.inference(net, Precision::Fp32);
     }
 
-    // Cold run under process isolation: every slice simulates inside
-    // a sandboxed worker, and the *worker* persists it before
-    // replying — the parent must not append duplicates.
+    // Cold run under process isolation: every slice simulates inside a
+    // sandboxed worker, which only simulates. The parent holds each
+    // key's flight and appends each record exactly once.
+    uint64_t sims = 0;
     {
-        EstimatorOptions o = fastOptions(worker_dir);
+        EstimatorOptions o = fastOptions(proc_dir);
         o.isolation = "process";
         o.proc.workerBin = SAVE_WORKER_BIN_PATH;
         o.proc.workers = 2;
         TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
         NetResult out = est.inference(net, Precision::Fp32);
         EXPECT_EQ(std::memcmp(&serial, &out, sizeof out), 0);
-        EXPECT_GT(est.simulations(), 0u);
+        sims = est.simulations();
+        EXPECT_GT(sims, 0u);
         ASSERT_NE(est.resultStore(), nullptr);
-        EXPECT_EQ(est.resultStore()->inserts(), 0u)
-            << "parent duplicated worker-persisted records";
+        EXPECT_EQ(est.resultStore()->inserts(), sims);
     }
 
-    // The worker-written store warms an in-process run completely.
+    // One record per key on disk: a fresh handle indexes as many
+    // records as the run simulated, and the shard files hold exactly
+    // that many record bytes (a duplicate append would add bytes).
     {
-        EstimatorOptions o = fastOptions(worker_dir);
+        ResultStore reread(ResultStore::Options{proc_dir, 0});
+        EXPECT_EQ(reread.records(), sims);
+        uint64_t file_bytes = 0;
+        for (int s = 0; s < ResultStore::kShards; ++s) {
+            std::error_code ec;
+            const auto n = fs::file_size(reread.shardPath(s), ec);
+            file_bytes += ec ? 0 : n;
+        }
+        EXPECT_EQ(file_bytes, reread.bytes());
+    }
+
+    // The parent-written store warms an in-process run completely.
+    {
+        EstimatorOptions o = fastOptions(proc_dir);
         o.isolation = "none";
         o.threads = 1;
         TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
         NetResult warm = est.inference(net, Precision::Fp32);
         EXPECT_EQ(est.simulations(), 0u);
-        EXPECT_GT(est.persistentHits(), 0u);
+        EXPECT_EQ(est.persistentHits(), sims);
         EXPECT_EQ(std::memcmp(&serial, &warm, sizeof warm), 0);
     }
 }
 
-TEST_F(ResultStoreTest, V1SurfaceFilesMigrateIntoTheStore)
+/** Bit-exact KernelResult equality, stat map included. */
+void
+expectSameResult(const KernelResult &a, const KernelResult &b)
 {
-    EstimatorOptions o = fastOptions(dir_.string());
-    const uint64_t hash = SurfaceCache::hashConfig(
-        MachineConfig{}, SaveConfig{}, optionSaltOf(o));
-
-    SurfaceCache v1(dir_.string(), hash);
-    std::vector<SurfaceRecord> recs(3);
-    for (int i = 0; i < 3; ++i) {
-        recs[static_cast<size_t>(i)] = SurfaceRecord{
-            4, 6, 24, 0, 0, 1, 2, static_cast<uint8_t>(i), 0, 100.0 + i};
+    EXPECT_TRUE(sameBits(a.timeNs, b.timeNs));
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_TRUE(sameBits(a.coreGhz, b.coreGhz));
+    ASSERT_EQ(a.stats.all().size(), b.stats.all().size());
+    auto bi = b.stats.all().begin();
+    for (const auto &[name, value] : a.stats.all()) {
+        EXPECT_EQ(name, bi->first);
+        EXPECT_TRUE(sameBits(value, bi->second)) << name;
+        ++bi;
     }
-    ASSERT_TRUE(v1.save(recs));
-    ASSERT_TRUE(fs::exists(v1.path()));
+}
+
+TEST_F(ResultStoreTest, MemoizedGemmSimulatesOnceAcrossHandles)
+{
+    const MachineConfig m;
+    const Engine eng(m, SaveConfig::baseline());
+    GemmConfig g;
+    g.mr = 2;
+    g.nrVecs = 2;
+    g.kSteps = 8;
+    g.tiles = 1;
+    const CasKey key{casHashConfig(m, SaveConfig::baseline(), 0),
+                     casGemmWorkload(g, 1, 2)};
+
+    KernelResult first;
+    {
+        ResultStore store(opts());
+        first = runGemmCached(store, eng, g, 1, 2);
+        EXPECT_EQ(store.misses(), 1u);
+        EXPECT_EQ(store.inserts(), 1u);
+        EXPECT_EQ(store.records(), 1u);
+        // A repeat on the same handle is a hit, not a simulation.
+        expectSameResult(first, runGemmCached(store, eng, g, 1, 2));
+        EXPECT_EQ(store.hits(), 1u);
+        EXPECT_EQ(store.inserts(), 1u);
+    }
+    expectSameResult(first, eng.runGemm(g, 1, 2));
+
+    // A second handle on the directory answers from the record, under
+    // exactly the key the function is documented to use.
+    {
+        ResultStore store(opts());
+        CasValue v;
+        ASSERT_TRUE(store.lookup(key, &v));
+        expectSameResult(first, kernelResultOf(v));
+        expectSameResult(first, runGemmCached(store, eng, g, 1, 2));
+        EXPECT_EQ(store.misses(), 0u);
+        EXPECT_EQ(store.inserts(), 0u);
+    }
+
+    // SimSession::runGemm with the same configs hits the same record.
+    ResultStore shared(opts());
+    SimSession::Options so;
+    so.mcfg = m;
+    so.scfg = SaveConfig::baseline();
+    so.runtime.threads = 1;
+    so.sharedStore = &shared;
+    SimSession session(so);
+    expectSameResult(first, session.runGemm(g, 1, 2));
+    EXPECT_EQ(shared.hits(), 1u);
+    EXPECT_EQ(shared.inserts(), 0u);
+    EXPECT_EQ(shared.records(), 1u);
+}
+
+TEST_F(ResultStoreTest, EstimatorPersistsAndReloadsSurfaces)
+{
+    NetworkModel net = vgg16Dense();
+    net.convLayers.resize(2);
+
+    EstimatorOptions o;
+    o.kSteps = 24;
+    o.tiles = 1;
+    o.gridStep = 9;
+    o.threads = 2;
+    o.cacheDir = dir_.string();
+
+    NetResult cold, warm;
+    uint64_t cold_sims;
+    {
+        TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+        EXPECT_EQ(est.persistentHits(), 0u);
+        cold = est.inference(net, Precision::Fp32);
+        cold_sims = est.simulations();
+        EXPECT_GT(cold_sims, 0u);
+        // Every simulated point was persisted as it completed.
+        ASSERT_NE(est.resultStore(), nullptr);
+        EXPECT_EQ(est.resultStore()->inserts(), cold_sims);
+    }
 
     {
         TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-        // The ctor folded the v1 records into the CAS and renamed the
-        // old file so it is migrated exactly once.
-        ASSERT_NE(est.resultStore(), nullptr);
-        EXPECT_EQ(est.resultStore()->records(), 3u);
-        EXPECT_FALSE(fs::exists(v1.path()));
-        EXPECT_TRUE(fs::exists(v1.path() + ".migrated"));
-
-        // The migrated records answer real surface lookups.
-        const uint64_t cfg =
-            casHashConfig(MachineConfig{}, SaveConfig{},
-                          optionSaltOf(o));
-        ResultStore reread(opts());
-        CasValue out;
-        ASSERT_TRUE(reread.lookup(
-            CasKey{cfg, casSliceWorkload(
-                            SliceKey{4, 6, 24, 0, 0, 1, 2, 1, 0})},
-            &out));
-        EXPECT_TRUE(sameBits(out.timeNs, 101.0));
+        warm = est.inference(net, Precision::Fp32);
+        // Warm run: every point served from the store (lookups are
+        // lazy, so hits accrue during evaluation), zero new
+        // simulations, bit-identical result.
+        EXPECT_EQ(est.persistentHits(), cold_sims);
+        EXPECT_EQ(est.simulations(), 0u);
+        EXPECT_EQ(std::memcmp(&cold, &warm, sizeof cold), 0);
     }
 
-    // A second estimator must not re-migrate (or double-count).
-    TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
-    EXPECT_EQ(est.resultStore()->records(), 3u);
+    // A different machine config must miss the store for every point.
+    MachineConfig other;
+    other.dramGBps *= 2;
+    TrainingEstimator est(other, SaveConfig{}, o);
+    est.inference(net, Precision::Fp32);
+    EXPECT_EQ(est.persistentHits(), 0u);
+    EXPECT_GT(est.simulations(), 0u);
 }
 
 TEST_F(ResultStoreTest, PoisonedSlicesNeverReachTheStore)

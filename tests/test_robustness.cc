@@ -25,7 +25,6 @@
 #include "../bench/bench_util.h"
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
-#include "dnn/surface_cache.h"
 #include "engine/engine.h"
 #include "kernels/gemm.h"
 #include "kernels/lstm.h"
@@ -334,58 +333,6 @@ TEST_F(RobustnessTest, ParsePlanAcceptsSpecAndRejectsGarbage)
     EXPECT_THROW(FaultInjector::parsePlan("slice=abc"), ConfigError);
     EXPECT_THROW(FaultInjector::parsePlan("times=0"), ConfigError);
     EXPECT_THROW(FaultInjector::parsePlan("nonsense=1"), ConfigError);
-}
-
-// -------------------------------------------- cache corruption recovery
-
-TEST_F(RobustnessTest, TamperedCacheIsQuarantinedAndRebuilt)
-{
-    for (const char *mode : {"truncate", "bitflip"}) {
-        SurfaceCache cache((dir_ / mode).string(), 0xfeed);
-        std::vector<SurfaceRecord> in(3);
-        in[0].mr = 4;
-        in[1].mr = 8;
-        in[2].mr = 12;
-
-        FaultPlan plan;
-        if (std::string(mode) == "truncate")
-            plan.cacheTruncateProb = 1.0;
-        else
-            plan.cacheBitflipProb = 1.0;
-        FaultInjector::global().configure(plan);
-        setQuietLogging(true);
-        ASSERT_TRUE(cache.save(in));
-        FaultInjector::global().reset();
-
-        // The tampered file fails validation and is quarantined, so
-        // the failure is visible, non-destructive, and non-repeating.
-        std::vector<SurfaceRecord> out;
-        std::string why;
-        EXPECT_FALSE(cache.load(out, &why)) << mode;
-        EXPECT_TRUE(out.empty());
-        EXPECT_TRUE(
-            std::filesystem::exists(cache.path() + ".corrupt"))
-            << mode;
-        EXPECT_FALSE(std::filesystem::exists(cache.path())) << mode;
-
-        // A clean rewrite fully recovers.
-        ASSERT_TRUE(cache.save(in));
-        EXPECT_TRUE(cache.load(out, &why)) << why;
-        setQuietLogging(false);
-        ASSERT_EQ(out.size(), in.size());
-        EXPECT_EQ(out[2].mr, 12);
-    }
-}
-
-TEST_F(RobustnessTest, NoStrayTempFilesAfterSave)
-{
-    SurfaceCache cache(dir_.string(), 0xbeef);
-    ASSERT_TRUE(cache.save({SurfaceRecord{}}));
-    size_t files = 0;
-    for (const auto &ent :
-         std::filesystem::directory_iterator(dir_))
-        files += ent.is_regular_file() ? 1 : 0;
-    EXPECT_EQ(files, 1u);
 }
 
 // ------------------------------------------------------- sweep journal

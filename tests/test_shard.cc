@@ -1,10 +1,10 @@
 /**
  * @file
  * Shard coordinator tests: protocol-v2 frame round-trips and version
- * windows, the canonical point enumeration, and the coordinator
+ * checks, the canonical point enumeration, and the coordinator
  * fault matrix — shard-count invariance, daemon crash mid-batch,
- * straggler rebalance, protocol version skew against a v1-emulating
- * daemon, a daemon that vanishes between its status probe and its
+ * straggler rebalance, protocol version skew against a fake peer,
+ * a daemon that vanishes between its status probe and its
  * first batch, coordinator SIGKILL + journal resume recomputing zero
  * already-merged points, and a daemon and two lanes sharing one store
  * simulating every slice exactly once. The acceptance bar throughout is
@@ -185,16 +185,19 @@ class DaemonProc
 };
 
 /**
- * A stand-in backend that answers one Status probe as a shard-capable
- * daemon and is gone before the reply is even sent: the listening
- * socket is closed and unlinked first, so every later dispatch fails
- * at connect() and never reaches a daemon. Deterministic, unlike
- * killing a real daemon between probe and dispatch.
+ * A stand-in backend that answers one Status probe with `status` (by
+ * default a daemon of this build's protocol version) and is gone
+ * before the reply is even sent: the listening socket is closed and
+ * unlinked first, so every later dispatch fails at connect() and never
+ * reaches a daemon. Deterministic, unlike killing a real daemon
+ * between probe and dispatch.
  */
 class ProbeThenVanish
 {
   public:
-    explicit ProbeThenVanish(const std::string &path) : path_(path)
+    explicit ProbeThenVanish(const std::string &path,
+                             ServeStatus status = ServeStatus{})
+        : path_(path)
     {
         struct sockaddr_un addr;
         std::memset(&addr, 0, sizeof(addr));
@@ -208,7 +211,7 @@ class ProbeThenVanish
                          sizeof(addr)),
                   0);
         EXPECT_EQ(::listen(listen_fd_, 4), 0);
-        thread_ = std::thread([this] {
+        thread_ = std::thread([this, status] {
             // Bounded wait, so a run that never probes cannot hang the
             // destructor's join.
             struct pollfd p = {listen_fd_, POLLIN, 0};
@@ -223,7 +226,7 @@ class ProbeThenVanish
             if (frameReadFd(fd, req, 5000, serveKnownFourcc,
                             kServeMaxPayload, "test") == FrameRead::Ok)
                 frameWriteFd(fd, kServeResult, 0,
-                             serveEncodeStatus(ServeStatus{}));
+                             serveEncodeStatus(status));
             ::close(fd);
         });
     }
@@ -352,9 +355,8 @@ TEST(ShardProtocol, JobRejectsBadVersions)
     ServeShardJob j;
     j.points = {1};
     std::vector<uint8_t> p = serveEncodeShardJob(j);
-    // A v1 peer can never legally carry SSHD...
-    EXPECT_THROW(serveDecodeShardJob(1, p), TraceError);
-    // ...and a future version is a skew, not a guess.
+    // An older or a newer version is a skew, not a guess.
+    EXPECT_THROW(serveDecodeShardJob(kServeVersion - 1, p), TraceError);
     EXPECT_THROW(serveDecodeShardJob(kServeVersion + 1, p), TraceError);
 }
 
@@ -383,23 +385,14 @@ TEST(ShardProtocol, AckRoundtrip)
     EXPECT_EQ(d.result.saveDynamic.bwdWeights, 9.25);
 }
 
-TEST(ShardProtocol, RequestVersionWindow)
+TEST(ShardProtocol, RequestDecodesOnlyTheCurrentVersion)
 {
     ServeRequest r;
     r.kind = ServeKind::Ping;
     std::vector<uint8_t> p = serveEncodeRequest(r);
-    // v1 requests must keep decoding on a v2 build (old clients).
-    EXPECT_NO_THROW(serveDecodeRequest(1, p));
     EXPECT_NO_THROW(serveDecodeRequest(kServeVersion, p));
-    EXPECT_THROW(serveDecodeRequest(0, p), TraceError);
+    EXPECT_THROW(serveDecodeRequest(kServeVersion - 1, p), TraceError);
     EXPECT_THROW(serveDecodeRequest(kServeVersion + 1, p), TraceError);
-}
-
-TEST(ShardProtocol, V1PredicateRejectsShardFrames)
-{
-    EXPECT_TRUE(serveKnownFourcc(kServeShardJob));
-    EXPECT_FALSE(serveKnownFourccV1(kServeShardJob));
-    EXPECT_TRUE(serveKnownFourccV1(kServeRequest));
 }
 
 TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
@@ -606,39 +599,29 @@ TEST(ShardCoordinator, StragglerRebalance)
     EXPECT_GE(coord.stats().speculative, 1u);
 }
 
-TEST(ShardCoordinator, VersionSkewExcludesV1Daemon)
+TEST(ShardCoordinator, VersionSkewExcludesBackend)
 {
-    std::string s = socketPath("v1");
-    DaemonProc d;
-    d.start(s, {"--workers=1", "--v1-compat"});
-    ASSERT_TRUE(d.waitReady());
+    // A peer whose status probe reports another protocol version is
+    // excluded before any batch is sent; the run completes on the
+    // remaining backend with the bytes unchanged.
+    for (uint32_t version : {kServeVersion - 1, kServeVersion + 1}) {
+        std::string s = socketPath("skew");
+        ServeStatus st;
+        st.version = version;
+        ProbeThenVanish d(s, st);
 
-    // The emulated old daemon advertises v1 and still answers v1
-    // single requests...
-    ServeClient client(s);
-    ServeRequest sreq;
-    sreq.kind = ServeKind::Status;
-    ServeClient::Reply status = client.call(sreq, nullptr, 5000);
-    ASSERT_EQ(status.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(status.status.version, 1u);
-
-    // ...and rejects a batched shard job with a typed Trace error
-    // instead of hanging or dying.
-    ServeShardJob job;
-    job.knobs = quickKnobs();
-    job.points = {0};
-    ServeClient::Reply shard = client.callShard(job, nullptr, 5000);
-    ASSERT_EQ(shard.kind, ServeClient::Reply::Kind::Error);
-    EXPECT_EQ(shard.error.kind, WireErrorKind::Trace);
-
-    // The coordinator negotiates, excludes it with a warning, and
-    // completes on the remaining backend — bytes unchanged.
-    ShardCoordinator::Options o = quickOptions();
-    o.inprocLanes = 1;
-    o.sockets = {s};
-    ShardCoordinator coord(std::move(o));
-    EXPECT_EQ(coord.run(), referenceReport());
-    EXPECT_EQ(coord.stats().backendsExcluded, 1u);
+        ShardCoordinator::Options o = quickOptions();
+        o.inprocLanes = 1;
+        o.sockets = {s};
+        ShardCoordinator coord(std::move(o));
+        EXPECT_EQ(coord.run(), referenceReport()) << version;
+        EXPECT_EQ(coord.stats().backendsExcluded, 1u) << version;
+        // Nothing was claimed for the peer: every dispatch is one
+        // in-process lane point.
+        EXPECT_EQ(coord.stats().dispatches, fig14Points().size())
+            << version;
+        EXPECT_EQ(coord.stats().requeues, 0u) << version;
+    }
 }
 
 TEST(ShardCoordinator, JournalInterchangesWithBench)
