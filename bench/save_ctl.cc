@@ -8,17 +8,22 @@
  *   save-ctl gemm   --socket=PATH [workload] one GEMM slice
  *   save-ctl fig14  --socket=PATH [knobs]    full Fig. 14 sweep
  *
- * A served fig14 sweep prints the report to stdout VERBATIM — byte-
- * identical to `bench_fig14` run in-process with the same knobs
- * (progress lines go to stderr). Exit codes: 0 ok, 1 daemon-side
- * error, 2 usage, 3 shed by admission control (BUSY — retry later).
+ * A served fig14 sweep asks for every point, renders the report from
+ * the daemon's per-point acks with the shared renderer, and prints it
+ * to stdout — byte-identical to `bench_fig14` run in-process with the
+ * same knobs (progress lines go to stderr). Exit codes: 0 ok, 1
+ * daemon-side error, 2 usage, 3 shed by admission control (BUSY —
+ * retry later).
  */
 
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
+#include "dnn/fig14_report.h"
 #include "serve/client.h"
 
 using namespace save;
@@ -157,6 +162,8 @@ runCommand(int argc, char **argv)
         req.fig14.threads = flags.getInt("threads", 0);
         req.fig14.isolation =
             fig14IsolationCode(flags.getStr("isolation", ""));
+        req.points.resize(fig14Points().size());
+        std::iota(req.points.begin(), req.points.end(), 0u);
     } else {
         std::fprintf(stderr, "error: unknown command '%s'\n\n",
                      cmd.c_str());
@@ -165,13 +172,14 @@ runCommand(int argc, char **argv)
     }
 
     ServeClient client(socket_path);
-    ServeClient::ProgressFn progress = [](const ServeProgress &p) {
-        std::fprintf(stderr, "progress %u/%u %s\n", p.done, p.total,
-                     p.key.c_str());
+    std::vector<NetResult> results(req.points.size());
+    size_t done = 0;
+    ServeClient::ProgressFn progress = [&](const ServeShardAck &a) {
+        results[a.index] = a.result;
+        std::fprintf(stderr, "progress %zu/%zu %s\n", ++done,
+                     results.size(), a.key.c_str());
     };
-    ServeClient::Reply reply = client.call(
-        req, req.kind == ServeKind::Fig14 ? progress : nullptr,
-        timeout_ms);
+    ServeClient::Reply reply = client.call(req, progress, timeout_ms);
 
     if (reply.kind == ServeClient::Reply::Kind::Busy) {
         if (json)
@@ -260,14 +268,16 @@ runCommand(int argc, char **argv)
                             reply.gemm.cycles),
                         reply.gemm.coreGhz);
         break;
-    case ServeKind::Fig14:
+    case ServeKind::Fig14: {
         // Verbatim: stdout must diff clean against bench_fig14.
+        const std::string report = fig14Report(results);
         if (json)
             std::printf("{\"report\":\"%s\"}\n",
-                        jsonEscape(reply.text).c_str());
+                        jsonEscape(report).c_str());
         else
-            std::fputs(reply.text.c_str(), stdout);
+            std::fputs(report.c_str(), stdout);
         break;
+    }
     }
     return 0;
 }

@@ -2,9 +2,9 @@
  * @file
  * save-shard: distributed Fig. 14 sweep coordinator (src/shard,
  * DESIGN.md §15). Splits the sweep into point jobs and dispatches
- * them across in-process lanes and remote save-serve daemons
- * (protocol v2 SSHD batches), then merges the results through the
- * shared fig14 renderer.
+ * them across in-process lanes and remote save-serve daemons (one
+ * Fig14 sweep request per batch of points), then merges the results
+ * through the shared fig14 renderer.
  *
  * The merged stdout is byte-identical to `bench_fig14` for the same
  * knobs — for any backend mix, shard count, or fault schedule (CI
@@ -31,7 +31,7 @@ printUsage(const char *argv0)
         "usage: %s [options]\n"
         "  --sockets=A,B,..  save-serve daemon sockets to dispatch "
         "batched\n"
-        "                    shard jobs to (a daemon of another "
+        "                    sweep requests to (a daemon of another "
         "protocol\n"
         "                    version is excluded with a warning)\n"
         "  --inproc=N        in-process lanes over one shared session "

@@ -166,7 +166,6 @@ TrainingEstimator::TrainingEstimator(MachineConfig mcfg,
         init.tiles = opt_.tiles;
         init.cores = opt_.cores;
         init.seed = opt_.seed;
-        init.configHash = config_hash_;
         proc_pool_ = std::make_unique<WorkerPool>(p, init);
     }
 }
@@ -230,19 +229,46 @@ TrainingEstimator::runSliceIsolated(const Key &key, int attempt)
                 r.stats.set(name, value);
             return r;
         } catch (const WorkerError &e) {
-            if (proc_pool_->degraded()) {
-                // The pool has drained past its crash budget: finish
-                // the point in-process instead of failing it. This is
-                // the graceful-degradation path, so it does not burn
-                // one of the slice's own retries.
-                SAVE_WARN("slice falling back in-process after pool "
-                          "degradation: ", e.what());
-                return simulateSlice(key);
-            }
-            throw;
+            // A pool drained past its crash budget finishes the point
+            // in-process; degradation does not burn one of the slice's
+            // own retries. On the last attempt a control slice decides
+            // whose fault the deaths were: if a worker runs the control
+            // clean, this slice kills its workers and fails alone
+            // (contained); if the control dies too, workers die
+            // whatever they run, the verdict degradation reaches, and
+            // the attempt runs in-process. So in a crash storm no
+            // slice's outcome depends on where the budget ran out.
+            const char *why = nullptr;
+            if (proc_pool_->degraded())
+                why = "pool degradation";
+            else if (attempt > opt_.maxRetries && !workersHealthy())
+                why = "its last attempt and a control slice both died "
+                      "in workers";
+            if (!why)
+                throw;
+            SAVE_WARN("slice falling back in-process after ", why, ": ",
+                      e.what());
+            return simulateSlice(key);
         }
     }
     return simulateSlice(key);
+}
+
+bool
+TrainingEstimator::workersHealthy()
+{
+    // A one-step 1x1 slice: cheap, and not a point any sweep asks for.
+    static const Key control{
+        1, 1, 1, static_cast<uint8_t>(BroadcastPattern::Explicit),
+        static_cast<uint8_t>(Precision::Fp32), 0, 2, 0, 0};
+    try {
+        proc_pool_->runSlice(control, keyHash(control), 1);
+    } catch (const WorkerError &) {
+        return false;
+    } catch (const std::exception &) {
+        // A clean ERR frame: the worker that sent it was alive.
+    }
+    return true;
 }
 
 uint64_t
@@ -628,19 +654,6 @@ TrainingEstimator::FanOut::finish(size_t n)
 }
 
 void
-TrainingEstimator::Prefetch::wait()
-{
-    if (!fan_)
-        return;
-    while (fan_->runNext()) {
-    }
-    std::unique_lock<std::mutex> lk(fan_->mu);
-    fan_->cv.wait(lk, [this] {
-        return fan_->finished == fan_->batches.size();
-    });
-}
-
-void
 TrainingEstimator::Prefetch::cancel()
 {
     if (!fan_)
@@ -743,13 +756,6 @@ TrainingEstimator::prefetch(const std::vector<NetEvaluation> &evals)
 }
 
 void
-TrainingEstimator::prefetch(const NetworkModel &net, Precision precision,
-                            bool inference_only)
-{
-    prefetch({NetEvaluation{&net, precision, inference_only}}).wait();
-}
-
-void
 TrainingEstimator::addEpoch(const NetworkModel &net, Precision precision,
                             int64_t step, bool inference_only,
                             NetResult &acc)
@@ -805,15 +811,17 @@ TrainingEstimator::evaluate(const NetEvaluation &ev)
 NetResult
 TrainingEstimator::inference(const NetworkModel &net, Precision precision)
 {
-    prefetch(net, precision, true);
-    return evaluate({&net, precision, true});
+    const NetEvaluation ev{&net, precision, true};
+    Prefetch fan = prefetch({ev});
+    return evaluate(ev);
 }
 
 NetResult
 TrainingEstimator::training(const NetworkModel &net, Precision precision)
 {
-    prefetch(net, precision, false);
-    return evaluate({&net, precision, false});
+    const NetEvaluation ev{&net, precision, false};
+    Prefetch fan = prefetch({ev});
+    return evaluate(ev);
 }
 
 } // namespace save

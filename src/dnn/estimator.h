@@ -204,10 +204,12 @@ class TrainingEstimator
 
     ~TrainingEstimator();
 
-    /** Forward pass at end-of-training sparsity. */
+    /** Forward pass at end-of-training sparsity: a prefetch of this
+     *  one evaluation, scoped to an evaluate() walk. */
     NetResult inference(const NetworkModel &net, Precision precision);
 
-    /** Mean per-epoch time across the whole training run. */
+    /** Mean per-epoch time across the whole training run (scoped
+     *  prefetch plus evaluate(), as inference()). */
     NetResult training(const NetworkModel &net, Precision precision);
 
     /**
@@ -243,8 +245,6 @@ class TrainingEstimator
 
       private:
         friend class TrainingEstimator;
-        /** Help drain the queue, then block until every batch ran. */
-        void wait();
         /** Drop unstarted batches and wait out running ones. */
         void cancel();
 
@@ -263,13 +263,6 @@ class TrainingEstimator
      */
     [[nodiscard]] Prefetch
     prefetch(const std::vector<NetEvaluation> &evals);
-
-    /**
-     * The one-evaluation prefetch, blocking until its points are in.
-     * inference()/training() call this themselves.
-     */
-    void prefetch(const NetworkModel &net, Precision precision,
-                  bool inference_only);
 
     /**
      * Time of one kernel at given sparsities (ns, full layer).
@@ -357,9 +350,16 @@ class TrainingEstimator
     KernelResult simulateWithRetry(const Key &key);
 
     /** One attempt of one slice under the resolved isolation mode:
-     *  dispatches to the worker pool (falling back in-process once it
-     *  degrades) or runs simulateSlice directly. */
+     *  dispatches to the worker pool or runs simulateSlice directly.
+     *  A worker failure falls back in-process once the pool degrades,
+     *  and on the slice's last attempt (`attempt` > maxRetries) when
+     *  workersHealthy() says workers die whatever they run. */
     KernelResult runSliceIsolated(const Key &key, int attempt);
+
+    /** Run a fixed control slice in a worker: false iff that worker
+     *  died too (or the pool refused it), i.e. the deaths were the
+     *  workers', not the slice's. */
+    bool workersHealthy();
 
     /**
      * Produce one point through the store's cross-process

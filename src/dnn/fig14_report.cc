@@ -3,6 +3,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "util/error.h"
+
 namespace save {
 
 namespace {
@@ -72,13 +74,6 @@ fig14GnmtEntries()
     return entries;
 }
 
-int
-fig14PointCount()
-{
-    return 2 * static_cast<int>(fig14CnnEntries().size() +
-                                fig14GnmtEntries().size());
-}
-
 const std::vector<Fig14Point> &
 fig14Points()
 {
@@ -105,21 +100,14 @@ fig14Points()
 }
 
 std::string
-fig14Report(const Fig14Eval &eval, const Fig14Progress &progress)
+fig14Report(const Fig14Eval &eval)
 {
     std::string out;
     out.reserve(8192);
-    const int total = fig14PointCount();
-    int done = 0;
 
     auto run = [&](const Fig14Entry &e, bool training) {
-        std::string key =
-            std::string(training ? "train/" : "infer/") + e.label;
-        NetResult r = eval(key, e, training);
-        ++done;
-        if (progress)
-            progress(done, total, key);
-        return r;
+        return eval(std::string(training ? "train/" : "infer/") + e.label,
+                    e, training);
     };
 
     appendf(out, "=== Fig. 14a: CNN inference ===\n");
@@ -143,6 +131,26 @@ fig14Report(const Fig14Eval &eval, const Fig14Progress &progress)
             "(VGG/ResNet/ResNet-pruned), 1.39x GNMT; training "
             "1.64x/1.29x/1.42x, 1.28x GNMT.\n");
     return out;
+}
+
+std::string
+fig14Report(const std::vector<NetResult> &results)
+{
+    const std::vector<Fig14Point> &pts = fig14Points();
+    if (results.size() != pts.size())
+        throw SimError("fig14 report needs " + std::to_string(pts.size()) +
+                       " point results, got " +
+                       std::to_string(results.size()));
+    size_t next = 0;
+    return fig14Report([&](const std::string &key, const Fig14Entry &,
+                           bool) {
+        const size_t idx = next++;
+        if (idx >= pts.size() || pts[idx].key != key)
+            throw SimError("fig14 report walk diverged from "
+                           "fig14Points() at '" +
+                           key + "'");
+        return results[idx];
+    });
 }
 
 } // namespace save

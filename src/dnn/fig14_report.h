@@ -1,8 +1,9 @@
 /**
  * @file
  * The Fig. 14 sweep — entry tables and report rendering — shared
- * between `bench_fig14` (prints to stdout) and the save-serve daemon
- * (streams the text back to `save-ctl`).
+ * between `bench_fig14` (prints to stdout), SimSession::runFig14, and
+ * the two renderers of served points: `save-ctl fig14` and the shard
+ * coordinator, which both render from the daemon's per-point acks.
  *
  * The acceptance bar for the serving path is byte-identity: a served
  * default-config Fig. 14 sweep must match `bench_fig14` run in-process
@@ -39,14 +40,11 @@ const std::vector<Fig14Entry> &fig14CnnEntries();
 /** The GNMT table: pruned, FP32 and MP. */
 const std::vector<Fig14Entry> &fig14GnmtEntries();
 
-/** Total network evaluations in one full sweep (inference+training). */
-int fig14PointCount();
-
 /**
  * One sweep point in the canonical evaluation order (CNN inference,
  * GNMT inference, CNN training, GNMT training — the order
  * fig14Report walks). `key` is the stable id ("infer/VGG16 FP32
- * dense"): journal key, progress label, and the shard protocol's
+ * dense"): journal key, progress label, and the serve protocol's
  * point name. Index into this vector IS the wire point index, so the
  * coordinator and every backend must agree on one build of it.
  */
@@ -70,28 +68,25 @@ fig14Evaluation(const Fig14Point &p)
 /**
  * Evaluate one entry. `key` is the stable sweep-point id
  * ("infer/VGG16 FP32 dense", "train/GNMT MP pruned"): journal key in
- * the bench, progress label in the daemon.
+ * the bench.
  */
 using Fig14Eval = std::function<NetResult(
     const std::string &key, const Fig14Entry &e, bool training)>;
 
 /**
- * Called after each completed evaluation with (done, total, key).
- * May throw to abort the sweep (the daemon does this on client
- * disconnect or a blown deadline); the exception propagates out of
- * fig14Report.
- */
-using Fig14Progress =
-    std::function<void(int done, int total, const std::string &key)>;
-
-/**
  * Render the full Fig. 14 report. The returned text is exactly what
  * `bench_fig14` writes to stdout: four sections in evaluation order
  * (CNN inference, GNMT inference, CNN training, GNMT training) plus
- * the paper-reference line.
+ * the paper-reference line. An exception from `eval` propagates.
  */
-std::string fig14Report(const Fig14Eval &eval,
-                        const Fig14Progress &progress = nullptr);
+std::string fig14Report(const Fig14Eval &eval);
+
+/**
+ * Render the report from one result per fig14Points() entry, indexed
+ * by point. Throws SimError when `results` does not hold exactly one
+ * result per point or the renderer's walk leaves the enumeration.
+ */
+std::string fig14Report(const std::vector<NetResult> &results);
 
 } // namespace save
 

@@ -39,7 +39,6 @@ wireEncodeSessionInit(const WireSessionInit &s)
 {
     std::vector<uint8_t> out;
     tracePutU32(out, kWireVersion);
-    tracePutU64(out, s.configHash);
     framePutStruct(out, s.mcfg);
     framePutStruct(out, s.scfg);
     tracePutU32(out, static_cast<uint32_t>(s.tiles));
@@ -60,7 +59,6 @@ wireDecodeSessionInit(const std::vector<uint8_t> &payload)
                          std::to_string(version) + " != expected " +
                          std::to_string(kWireVersion));
     WireSessionInit s;
-    s.configHash = traceGetU64(p, end);
     s.mcfg = frameGetStruct<MachineConfig>(p, end, "MachineConfig");
     s.scfg = frameGetStruct<SaveConfig>(p, end, "SaveConfig");
     s.tiles = static_cast<int>(traceGetU32(p, end));

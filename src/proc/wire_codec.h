@@ -47,7 +47,7 @@
 namespace save {
 
 /** Protocol version; bumped on any frame-layout change. */
-constexpr uint32_t kWireVersion = 3;
+constexpr uint32_t kWireVersion = 4;
 
 /** Frame kinds (fourcc, little-endian first byte first). */
 constexpr uint32_t kWireHello = traceFourcc('H', 'E', 'L', 'O');
@@ -100,8 +100,6 @@ struct WireSessionInit
     uint64_t seed = 0;
     /** RLIMIT_AS cap for the worker, MB; 0 = none. */
     int rssCapMb = 0;
-    /** Parent's config digest (casHashConfig, estimator-salted). */
-    uint64_t configHash = 0;
 };
 
 std::vector<uint8_t> wireEncodeSessionInit(const WireSessionInit &s);

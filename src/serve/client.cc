@@ -61,6 +61,9 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
     int fd = connectSocket(path_);
 
     Reply reply;
+    // The daemon acks exactly the requested points, in list order,
+    // all before its SRES; `acked` counts them off req.points.
+    size_t acked = 0;
     try {
         if (!frameWriteFd(fd, kServeRequest, kServeVersion,
                           serveEncodeRequest(req)))
@@ -80,12 +83,29 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
                 throw SimError(
                     "no reply from " + path_ + " within " +
                     std::to_string(timeout_ms) + "ms");
-            if (f.fourcc == kServeProgress) {
+            if (f.fourcc == kServePointAck) {
+                ServeShardAck ack = serveDecodeShardAck(f.payload);
+                if (acked == req.points.size() ||
+                    ack.index != req.points[acked])
+                    throw TraceError(
+                        "serve: ack for point " +
+                        std::to_string(ack.index) + " where " +
+                        (acked == req.points.size()
+                             ? std::string("no more were requested")
+                             : "point " +
+                                   std::to_string(req.points[acked]) +
+                                   " was due"));
+                ++acked;
                 if (progress)
-                    progress(serveDecodeProgress(f.payload));
+                    progress(ack);
                 continue;
             }
             if (f.fourcc == kServeResult) {
+                if (acked != req.points.size())
+                    throw TraceError(
+                        "serve: result after " + std::to_string(acked) +
+                        " of " + std::to_string(req.points.size()) +
+                        " point ack(s)");
                 reply.kind = Reply::Kind::Ok;
                 switch (req.kind) {
                 case ServeKind::Status:
@@ -94,69 +114,11 @@ ServeClient::call(const ServeRequest &req, const ProgressFn &progress,
                 case ServeKind::Gemm:
                     reply.gemm = wireDecodeSliceResult(f.payload);
                     break;
-                case ServeKind::Fig14:
-                    reply.text.assign(f.payload.begin(),
-                                      f.payload.end());
-                    break;
                 case ServeKind::Ping:
                 case ServeKind::Drain:
+                case ServeKind::Fig14:
                     break;
                 }
-                break;
-            }
-            if (f.fourcc == kServeError) {
-                reply.kind = Reply::Kind::Error;
-                reply.error = wireDecodeError(f.payload);
-                break;
-            }
-            if (f.fourcc == kServeBusy) {
-                reply.kind = Reply::Kind::Busy;
-                reply.busy = serveDecodeBusy(f.payload);
-                break;
-            }
-            throw TraceError("serve: unexpected reply frame " +
-                             frameFourccName(f.fourcc));
-        }
-    } catch (...) {
-        ::close(fd);
-        throw;
-    }
-    ::close(fd);
-    return reply;
-}
-
-ServeClient::Reply
-ServeClient::callShard(const ServeShardJob &job, const AckFn &onAck,
-                       int timeout_ms)
-{
-    int fd = connectSocket(path_);
-
-    Reply reply;
-    try {
-        if (!frameWriteFd(fd, kServeShardJob, kServeVersion,
-                          serveEncodeShardJob(job)))
-            throw SimError(std::string("shard job write failed: ") +
-                           std::strerror(errno));
-        for (;;) {
-            Frame f;
-            FrameRead r = frameReadFd(fd, f, timeout_ms,
-                                      serveKnownFourcc,
-                                      kServeMaxPayload, "serve");
-            if (r == FrameRead::Eof)
-                throw SimError(
-                    "daemon closed the connection mid-batch");
-            if (r == FrameRead::Timeout)
-                throw SimError(
-                    "no shard ack from " + path_ + " within " +
-                    std::to_string(timeout_ms) + "ms");
-            if (f.fourcc == kServeProgress) {
-                ServeShardAck ack = serveDecodeShardAck(f.payload);
-                if (onAck)
-                    onAck(ack);
-                continue;
-            }
-            if (f.fourcc == kServeResult) {
-                reply.kind = Reply::Kind::Ok;
                 break;
             }
             if (f.fourcc == kServeError) {

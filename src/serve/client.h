@@ -1,9 +1,10 @@
 /**
  * @file
  * ServeClient: the client side of the save-serve protocol. One
- * request per connection: connect, send SREQ, consume streamed SPRG
- * progress frames, and return the terminal SRES/SERR/SBSY as a typed
- * Reply. `save-ctl` and the serve tests are the two users.
+ * request per connection: connect, send SREQ, hand every streamed
+ * SPRG point ack to the caller, and return the terminal
+ * SRES/SERR/SBSY as a typed Reply. `save-ctl`, the shard
+ * coordinator's daemon lanes and the serve tests are the users.
  *
  * Failure policy mirrors the rest of the harness: connection refusal
  * (ServeUnreachable), timeouts, and protocol corruption throw
@@ -34,8 +35,8 @@ class ServeUnreachable : public SimError
 class ServeClient
 {
   public:
-    /** Progress callback for streamed sweeps. */
-    using ProgressFn = std::function<void(const ServeProgress &)>;
+    /** Per-point ack callback for Fig14 sweep requests. */
+    using ProgressFn = std::function<void(const ServeShardAck &)>;
 
     struct Reply
     {
@@ -53,36 +54,25 @@ class ServeClient
         /** Ok replies, by request kind. */
         ServeStatus status;         ///< Status
         WireSliceResult gemm;       ///< Gemm
-        std::string text;           ///< Fig14 report
     };
 
     /** Does not connect; every call() opens its own connection. */
     explicit ServeClient(std::string socketPath);
 
     /**
-     * Send one request and wait for the terminal reply. `timeout_ms`
-     * bounds every frame read (< 0 waits forever); a sweep that
-     * streams progress resets the clock at each frame. Throws
-     * SimError when the daemon is unreachable or times out,
-     * TraceError on protocol corruption.
+     * Send one request and wait for the terminal reply, passing each
+     * streamed point ack of a Fig14 request to `progress` (which may
+     * throw to abandon the call). `timeout_ms` bounds every frame read
+     * (< 0 waits forever) and so resets at each ack. A daemon that
+     * rejects the request answers a typed SERR, which surfaces as
+     * Reply::Kind::Error. Throws ServeUnreachable when nothing accepts
+     * the connection, SimError when the daemon times out or hangs up,
+     * TraceError on protocol corruption, which includes an ack out of
+     * `req.points` order and an SRES before every point was acked.
      */
     Reply call(const ServeRequest &req,
                const ProgressFn &progress = nullptr,
                int timeout_ms = -1);
-
-    /** Per-point ack callback for batched shard jobs (v2). */
-    using AckFn = std::function<void(const ServeShardAck &)>;
-
-    /**
-     * Send one batched SSHD shard job (protocol v2) and stream every
-     * per-point ack through `onAck`; the terminal frame becomes the
-     * Reply exactly as in call(); a daemon that rejects the job
-     * answers a typed SERR, which surfaces here as Reply::Kind::Error.
-     * `timeout_ms` bounds every frame read and resets at each ack.
-     */
-    Reply callShard(const ServeShardJob &job,
-                    const AckFn &onAck = nullptr,
-                    int timeout_ms = -1);
 
     const std::string &socketPath() const { return path_; }
 

@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.h"
 
@@ -116,37 +117,51 @@ SimSession::estimatorFor(const Fig14Knobs &k)
     return ref;
 }
 
-std::string
-SimSession::runFig14(const Fig14Knobs &knobs,
-                     const Fig14Progress &progress)
+void
+SimSession::runFig14Points(const Fig14Knobs &knobs,
+                           const std::vector<uint32_t> &indices,
+                           const Fig14PointFn &onPoint)
 {
-    TrainingEstimator &est = estimatorFor(knobs);
-    // Queue the whole sweep's slices up front: points render (and
-    // progress fires) as their slices land while later points' slices
-    // are still running. An unwinding walk cancels the rest.
+    const std::vector<Fig14Point> &pts = fig14Points();
+    if (indices.empty())
+        throw ConfigError("fig14 point list is empty");
     std::vector<NetEvaluation> evals;
-    for (const Fig14Point &p : fig14Points())
-        evals.push_back(fig14Evaluation(p));
+    evals.reserve(indices.size());
+    for (uint32_t idx : indices) {
+        if (idx >= pts.size())
+            throw ConfigError("fig14 point index " + std::to_string(idx) +
+                              " out of range [0, " +
+                              std::to_string(pts.size()) + ")");
+        evals.push_back(fig14Evaluation(pts[idx]));
+    }
+    TrainingEstimator &est = estimatorFor(knobs);
+    // Points evaluate as their slices land while later points' slices
+    // still run; an unwinding walk cancels the rest.
     TrainingEstimator::Prefetch fan = est.prefetch(evals);
-    Fig14Eval eval = [&est](const std::string &, const Fig14Entry &e,
-                            bool training) {
-        return est.evaluate({&e.net, e.prec, !training});
-    };
-    return fig14Report(eval, progress);
+    for (size_t i = 0; i < indices.size(); ++i)
+        onPoint(indices[i], est.evaluate(evals[i]));
+}
+
+std::string
+SimSession::runFig14(const Fig14Knobs &knobs)
+{
+    std::vector<uint32_t> all(fig14Points().size());
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<NetResult> results;
+    results.reserve(all.size());
+    runFig14Points(knobs, all, [&](uint32_t, const NetResult &r) {
+        results.push_back(r);
+    });
+    return fig14Report(results);
 }
 
 NetResult
 SimSession::runFig14Point(const Fig14Knobs &knobs, int index)
 {
-    const std::vector<Fig14Point> &pts = fig14Points();
-    if (index < 0 || index >= static_cast<int>(pts.size()))
-        throw ConfigError("fig14 point index " + std::to_string(index) +
-                          " out of range [0, " +
-                          std::to_string(pts.size()) + ")");
-    const Fig14Point &p = pts[static_cast<size_t>(index)];
-    TrainingEstimator &est = estimatorFor(knobs);
-    return p.training ? est.training(p.entry.net, p.entry.prec)
-                      : est.inference(p.entry.net, p.entry.prec);
+    NetResult out;
+    runFig14Points(knobs, {static_cast<uint32_t>(index)},
+                   [&](uint32_t, const NetResult &r) { out = r; });
+    return out;
 }
 
 uint64_t

@@ -19,19 +19,24 @@
  *    as the Engine-driven benches do, so a repeat slice — served or
  *    benched — is answered from the shared store without
  *    re-simulating;
- *  - runFig14 renders through the shared dnn/fig14_report.h renderer
- *    over TrainingEstimator, so a served sweep's text matches
- *    `bench_fig14` stdout to the byte.
+ *  - every Fig. 14 entry point (runFig14, runFig14Point, the daemon's
+ *    sweep requests, the shard coordinator's lanes) is one
+ *    runFig14Points call over the same estimator pipeline, and the
+ *    report is rendered by the shared dnn/fig14_report.h renderer,
+ *    so a served or sharded sweep matches `bench_fig14` stdout to the
+ *    byte.
  */
 
 #ifndef SAVE_SERVE_SESSION_H
 #define SAVE_SERVE_SESSION_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "cache/result_store.h"
 #include "dnn/estimator.h"
@@ -99,26 +104,34 @@ class SimSession
      */
     KernelResult runGemm(const GemmConfig &g, int cores, int vpus);
 
-    /**
-     * The full Fig. 14 sweep; returns the report text (byte-identical
-     * to bench_fig14 stdout for the same knobs). Every point's slices
-     * are queued at once (TrainingEstimator::prefetch); `progress`
-     * fires after each of the 16 network evaluations and may throw to
-     * abort the sweep, which drops the slices nobody started and
-     * returns once none is running. Estimators are cached per knob
-     * tuple, so repeat sweeps reuse warm in-memory surfaces on top of
-     * the persistent store.
-     */
-    std::string runFig14(const Fig14Knobs &knobs,
-                         const Fig14Progress &progress = nullptr);
+    /** Receives one evaluated point: its fig14Points() index and
+     *  result. */
+    using Fig14PointFn =
+        std::function<void(uint32_t index, const NetResult &result)>;
 
     /**
-     * One Fig. 14 sweep point by canonical index (fig14Points()
-     * order) — the shard-job unit of work. Identical arithmetic to
-     * the same point inside runFig14: same estimator cache, same
-     * store, so a shard-computed point is bit-identical to the
-     * single-host bench's. Throws ConfigError on a bad index.
+     * The one Fig. 14 point runner. Queues the slices of every listed
+     * point (indices into fig14Points()) with one
+     * TrainingEstimator::prefetch, then evaluates the points in list
+     * order and hands each result to `onPoint`, while later points'
+     * slices are still simulating. A throw from `onPoint` cancels the
+     * rest: slices nobody started are dropped and the call returns (by
+     * rethrowing) once none is running. Throws ConfigError, before any
+     * work, on an empty list or an out-of-range index. Estimators are
+     * cached per knob tuple, so repeat calls reuse warm in-memory
+     * surfaces on top of the persistent store, and a point's result is
+     * the same whichever list it is evaluated in.
      */
+    void runFig14Points(const Fig14Knobs &knobs,
+                        const std::vector<uint32_t> &indices,
+                        const Fig14PointFn &onPoint);
+
+    /** The full Fig. 14 sweep (all points, one runFig14Points call);
+     *  returns the report text, byte-identical to bench_fig14 stdout
+     *  for the same knobs. */
+    std::string runFig14(const Fig14Knobs &knobs);
+
+    /** One point by canonical index: runFig14Points over one index. */
     NetResult runFig14Point(const Fig14Knobs &knobs, int index);
 
     /** Slice simulations actually executed across all estimators this

@@ -1,6 +1,5 @@
 #include "shard/coordinator.h"
 
-#include <algorithm>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -250,8 +249,9 @@ ShardCoordinator::inprocLane(int lane)
             return;
         const uint32_t idx = got[0];
         try {
-            complete(idx, session_->runFig14Point(
-                              opt_.knobs, static_cast<int>(idx)));
+            session_->runFig14Points(
+                opt_.knobs, got,
+                [this](uint32_t i, const NetResult &r) { complete(i, r); });
         } catch (const ConfigError &e) {
             // Triage: a config fault would fail identically on every
             // backend — abort the run instead of burning the budget.
@@ -297,17 +297,17 @@ ShardCoordinator::daemonLane(const std::string &socket)
         if (got.empty())
             return;
 
-        ServeShardJob job;
-        job.knobs = opt_.knobs;
-        job.deadlineMs = 0;
-        job.points = got;
+        ServeRequest req;
+        req.kind = ServeKind::Fig14;
+        req.fig14 = opt_.knobs;
+        req.points = got;
 
         std::set<uint32_t> acked;
         bool faulted = false;
         std::string fault;
         try {
-            ServeClient::Reply reply = client.callShard(
-                job,
+            ServeClient::Reply reply = client.call(
+                req,
                 [&](const ServeShardAck &ack) {
                     complete(ack.index, ack.result);
                     acked.insert(ack.index);
@@ -329,12 +329,8 @@ ShardCoordinator::daemonLane(const std::string &socket)
                 faulted = true;
                 fault = socket + ": " + reply.error.what;
             } else {
+                // ServeClient::call checked that every point acked.
                 consecutive = 0;
-                // Every claimed point should have acked; re-queue
-                // stragglers defensively.
-                for (uint32_t idx : got)
-                    if (acked.find(idx) == acked.end())
-                        requeue(idx);
             }
         } catch (const ServeUnreachable &e) {
             // The batch never reached a daemon: hand it back unworked
@@ -420,20 +416,13 @@ ShardCoordinator::run()
     }
 
     // Merge in config-key order, never arrival order: the one shared
-    // renderer walks the canonical enumeration and pulls each result
-    // from the completed map — byte-identical to bench_fig14 by
-    // construction.
-    uint32_t next = 0;
-    Fig14Eval eval = [&](const std::string &key, const Fig14Entry &,
-                         bool) -> NetResult {
-        const uint32_t idx = next++;
-        if (idx >= pts.size() || pts[idx].key != key)
-            throw SimError("fig14 report walk diverged from "
-                           "fig14Points() at '" +
-                           key + "'");
-        return points_[idx].result;
-    };
-    return fig14Report(eval);
+    // renderer walks the canonical enumeration over the index-addressed
+    // results — byte-identical to bench_fig14 by construction.
+    std::vector<NetResult> results;
+    results.reserve(points_.size());
+    for (const Point &p : points_)
+        results.push_back(p.result);
+    return fig14Report(results);
 }
 
 } // namespace save

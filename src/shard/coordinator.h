@@ -8,23 +8,23 @@
  *
  *  - in-process lanes: N threads over ONE shared SimSession (shared
  *    ThreadPool + content-addressed ResultStore), each claiming one
- *    point at a time;
+ *    point at a time and running it through SimSession::runFig14Points;
  *  - remote save-serve daemons: one dialer thread per socket,
- *    claiming up to `batch` points and shipping them as a protocol-v2
- *    SSHD batch; per-point SPRG acks complete points as they land.
+ *    claiming up to `batch` points and sending them as one Fig14
+ *    sweep request (knobs + point list); the daemon's per-point SPRG
+ *    acks complete points as they land.
  *
  * Correctness invariant — the merged report is byte-identical to
  * `bench_fig14` stdout for any shard count, backend mix, and fault
  * schedule — holds by construction, not by care:
  *
  *  - every backend computes a point with the same arithmetic (the
- *    same estimator pipeline behind SimSession::runFig14Point, seeded
+ *    same estimator pipeline behind SimSession::runFig14Points, seeded
  *    workloads, -ffp-contract=off everywhere), so WHO computes a
  *    point cannot change its value;
  *  - the report is rendered by the one shared dnn/fig14_report.h
- *    renderer, which walks points in config-key order and pulls each
- *    result from the coordinator's completed map — arrival order
- *    never touches the output.
+ *    renderer from the index-addressed results, in config-key order
+ *    — arrival order never touches the output.
  *
  * Fault policy (the PR-7 triage taxonomy, applied at batch
  * granularity):
@@ -87,7 +87,7 @@ class ShardCoordinator
         /** In-process lanes over one shared SimSession; with 0 the
          *  run depends entirely on the daemons. */
         int inprocLanes = 1;
-        /** Max points per daemon dispatch (SSHD batch size). */
+        /** Max points per daemon dispatch (one sweep request). */
         int batch = 4;
         /** Per-point dispatch budget before a permanent failure. */
         int maxAttempts = 3;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel simulation layer: the work-stealing thread
  * pool, the estimator's concurrent slice fan-out (results must be
- * bit-identical to the serial path for every thread count), the
- * sweep-wide fan-out behind SimSession::runFig14 and its cancellation.
+ * bit-identical to the serial path for every thread count), and the
+ * Fig. 14 point runner SimSession::runFig14Points: its sweep-wide
+ * fan-out, list-order delivery, and cancellation.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
+#include "dnn/fig14_report.h"
 #include "serve/session.h"
 #include "util/thread_pool.h"
 
@@ -150,21 +152,6 @@ TEST(ParallelEstimator, FanOutMatchesSerialSimulationCount)
     EXPECT_EQ(par.simulations(), serial.simulations());
 }
 
-TEST(ParallelEstimator, PrefetchCoversEvaluation)
-{
-    NetworkModel net = vgg16Dense();
-    net.convLayers.resize(3);
-
-    TrainingEstimator est(MachineConfig{}, SaveConfig{},
-                          fastOptions(2));
-    est.prefetch(net, Precision::Fp32, true);
-    uint64_t after_prefetch = est.simulations();
-    EXPECT_GT(after_prefetch, 0u);
-    est.inference(net, Precision::Fp32);
-    // The evaluation itself must be fully served from cache.
-    EXPECT_EQ(est.simulations(), after_prefetch);
-}
-
 // ------------------------------------------------- sweep-wide fan-out
 
 /** The quick Fig. 14 knobs the serve and shard tests use. isolation
@@ -188,6 +175,16 @@ fig14Session(const std::string &cache_dir = "none")
     o.runtime.threads = 4;
     o.runtime.cacheDir = cache_dir;
     return std::make_unique<SimSession>(std::move(o));
+}
+
+/** Every sweep point, in canonical order. */
+std::vector<uint32_t>
+allPoints()
+{
+    std::vector<uint32_t> all(fig14Points().size());
+    for (uint32_t i = 0; i < all.size(); ++i)
+        all[i] = i;
+    return all;
 }
 
 struct Fig14Reference
@@ -244,13 +241,16 @@ TEST(SweepFanOut, CancelledSweepStopsAndLeavesTheRestToTheNextCall)
         auto s = fig14Session();
         const Fig14Knobs k = quickFig14(threads, 2);
         Clock::time_point thrown;
-        auto abort_after_3 = [&](int done, int, const std::string &) {
-            if (done == 3) {
+        int done = 0;
+        auto abort_after_3 = [&](uint32_t, const NetResult &) {
+            if (++done == 3) {
                 thrown = Clock::now();
                 throw std::runtime_error("client went away");
             }
         };
-        EXPECT_THROW(s->runFig14(k, abort_after_3), std::runtime_error);
+        EXPECT_THROW(s->runFig14Points(k, allPoints(), abort_after_3),
+                     std::runtime_error);
+        EXPECT_EQ(done, 3);
         // Running batches stop after their current slice, so the
         // rethrow waits for at most one slice per computing thread.
         EXPECT_LT(Clock::now() - thrown, std::chrono::seconds(2));
@@ -261,7 +261,7 @@ TEST(SweepFanOut, CancelledSweepStopsAndLeavesTheRestToTheNextCall)
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
         EXPECT_EQ(s->simulations(), first)
-            << "a pool task simulated after runFig14 returned";
+            << "a pool task simulated after runFig14Points returned";
 
         // The dropped slices were released, not poisoned: the next
         // sweep computes exactly them.
@@ -281,25 +281,63 @@ TEST(SweepFanOut, ConcurrentSweepReclaimsSlicesAnotherSweepDropped)
     const Fig14Knobs k = quickFig14(1, 1);
     std::promise<void> first_at_1, second_at_1;
     std::thread canceller([&] {
-        auto cancel_after_1 = [&](int done, int, const std::string &) {
-            if (done == 1) {
-                first_at_1.set_value();
-                second_at_1.get_future().wait();
-                throw std::runtime_error("deadline");
-            }
+        auto cancel_after_1 = [&](uint32_t, const NetResult &) {
+            first_at_1.set_value();
+            second_at_1.get_future().wait();
+            throw std::runtime_error("deadline");
         };
-        EXPECT_THROW(s->runFig14(k, cancel_after_1), std::runtime_error);
+        EXPECT_THROW(s->runFig14Points(k, allPoints(), cancel_after_1),
+                     std::runtime_error);
     });
     first_at_1.get_future().wait();
-    std::string report =
-        s->runFig14(k, [&](int done, int, const std::string &) {
-            if (done == 1)
-                second_at_1.set_value();
-        });
+    std::vector<NetResult> results;
+    s->runFig14Points(k, allPoints(),
+                      [&](uint32_t, const NetResult &r) {
+                          if (results.empty())
+                              second_at_1.set_value();
+                          results.push_back(r);
+                      });
     canceller.join();
-    EXPECT_EQ(report, ref.report);
+    EXPECT_EQ(fig14Report(results), ref.report);
     // Both sweeps share one estimator: every slice ran exactly once.
     EXPECT_EQ(s->simulations(), ref.keys);
+}
+
+TEST(SweepFanOut, PointListRunsInOrderAndSimulatesEachSliceOnce)
+{
+    const Fig14Reference &ref = fig14Reference();
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("save-fanout-list-" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+        auto s = fig14Session(dir.string());
+        const Fig14Knobs k = quickFig14(4, 2);
+        // Inference and training of one network share slices: the
+        // list's distinct slices are fewer than its per-point sum.
+        const std::vector<uint32_t> list = {8, 0, 15, 3, 7};
+        std::vector<uint32_t> order;
+        std::vector<NetResult> got;
+        s->runFig14Points(k, list, [&](uint32_t i, const NetResult &r) {
+            order.push_back(i);
+            got.push_back(r);
+        });
+        EXPECT_EQ(order, list);
+        // Every distinct slice simulated once and landed once.
+        const uint64_t sims = s->simulations();
+        EXPECT_GT(sims, 0u);
+        EXPECT_LT(sims, ref.keys);
+        EXPECT_EQ(sims, s->resultStore()->records());
+
+        // Evaluating the points again is served from the estimator's
+        // cache, and a point's value does not depend on its list.
+        for (size_t j = 0; j < list.size(); ++j)
+            EXPECT_TRUE(bytesEqual(
+                s->runFig14Point(k, static_cast<int>(list[j])), got[j]))
+                << "point " << list[j];
+        EXPECT_EQ(s->simulations(), sims);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -310,14 +310,12 @@ TEST_F(ProcTest, SessionInitAndErrorPayloadsRoundTrip)
     init.cores = 2;
     init.seed = 77;
     init.rssCapMb = 512;
-    init.configHash = 0xdeadbeef;
     WireSessionInit back =
         wireDecodeSessionInit(wireEncodeSessionInit(init));
     EXPECT_EQ(back.tiles, 3);
     EXPECT_EQ(back.cores, 2);
     EXPECT_EQ(back.seed, 77u);
     EXPECT_EQ(back.rssCapMb, 512);
-    EXPECT_EQ(back.configHash, 0xdeadbeefull);
     // Field comparison, not whole-struct memcmp: assignment need not
     // copy padding bytes, and padding carries no protocol meaning.
     EXPECT_EQ(back.mcfg.cores, init.mcfg.cores);
@@ -513,6 +511,49 @@ TEST_F(ProcTest, CrashStormDegradesToInProcessGracefully)
     EXPECT_TRUE(bytesEqual(ref, r));
     std::string report = est_->failureReport();
     EXPECT_NE(report.find("DEGRADED"), std::string::npos) << report;
+}
+
+TEST_F(ProcTest, SliceWhoseWorkerAttemptsAllDieFinishesInProcess)
+{
+    const NetResult &ref = referenceResult();
+    setQuietLogging(true);
+    EstimatorOptions o = procOptions(1);
+    o.proc.workers = 1;
+    // One crash more than a slice has attempts: the first slice's
+    // worker attempts all die while the pool is still live, and the
+    // control slice dies too (every key is selected), so the verdict
+    // is the workers' and the slice finishes in-process, whatever
+    // the pool-wide budget does.
+    o.proc.maxWorkerCrashes = 1 + o.maxRetries + 1;
+    NetResult r = faultedProcRun("crash=1,times=999,seed=5", o);
+    setQuietLogging(false);
+    EXPECT_TRUE(bytesEqual(ref, r));
+    EXPECT_TRUE(est_->failures().empty()) << est_->failureReport();
+    EXPECT_TRUE(est_->processPool()->degraded());
+}
+
+TEST_F(ProcTest, SliceThatKillsEveryWorkerFailsAloneWhileTheControlRunsClean)
+{
+    setQuietLogging(true);
+    EstimatorOptions o = procOptions();
+    // A budget no run here reaches: only the control decides.
+    o.proc.maxWorkerCrashes = 1000;
+    // Seed 2 selects some of tinyNet's slices but not the control
+    // slice. A selected slice kills its worker on every attempt while
+    // the control runs clean, so the slice is at fault: it must fail
+    // alone with a failure record, never be retried in the parent
+    // (where it would run clean, since injected crashes fire only in
+    // workers, and the result would come out finite).
+    NetResult r = faultedProcRun("crash=0.2,times=999,seed=2", o);
+    setQuietLogging(false);
+    const size_t failed = est_->failures().size();
+    EXPECT_GT(failed, 0u);
+    EXPECT_TRUE(sweepResultPoisoned(r));
+    EXPECT_FALSE(est_->processPool()->degraded());
+    // Every crash is one of a failed slice's own attempts; the
+    // controls ran clean.
+    EXPECT_EQ(est_->processPool()->crashes(),
+              static_cast<int>(failed) * (1 + o.maxRetries));
 }
 
 TEST_F(ProcTest, InProcessIsolationRefusesProcessFaultModes)

@@ -4,9 +4,12 @@
  * rejection, daemon lifecycle (spawned from the real binary),
  * admission control and load shedding, client disconnect mid-sweep,
  * graceful drain with in-flight work, SIGHUP config reload, stale
- * socket reclamation, and the acceptance bar — a served Fig. 14
- * sweep byte-identical to the in-process report across isolation
- * modes, with warm repeats answered from the shared CAS store.
+ * socket reclamation, typed rejection of a bad point list, per-point
+ * acks in request order with every slice simulated once, the client's
+ * ack-order checks against a scripted stand-in daemon, and the
+ * acceptance bar — a Fig. 14 sweep rendered from the served acks
+ * byte-identical to the in-process report across isolation modes,
+ * with warm repeats answered from the shared CAS store.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +18,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -27,6 +33,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cache/result_store.h"
 #include "dnn/fig14_report.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -38,17 +45,35 @@ using namespace save;
 
 namespace {
 
-std::string
-tmpDir(const char *tag)
+/** A fresh directory under /tmp, removed with everything in it when
+ *  the test ends. */
+class TempDir
 {
-    std::string t = "/tmp/save_serve_test_" + std::string(tag) + "_" +
-                    std::to_string(::getpid()) + "_XXXXXX";
-    std::vector<char> buf(t.begin(), t.end());
-    buf.push_back('\0');
-    const char *d = ::mkdtemp(buf.data());
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
+  public:
+    explicit TempDir(const char *tag)
+    {
+        std::string t = "/tmp/save_serve_test_" + std::string(tag) +
+                        "_" + std::to_string(::getpid()) + "_XXXXXX";
+        std::vector<char> buf(t.begin(), t.end());
+        buf.push_back('\0');
+        const char *d = ::mkdtemp(buf.data());
+        EXPECT_NE(d, nullptr);
+        path_ = d ? d : "";
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        if (!path_.empty())
+            std::filesystem::remove_all(path_, ec);
+    }
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 std::string
 socketPath(const char *tag)
@@ -70,6 +95,44 @@ quickKnobs()
     return k;
 }
 
+/** A Fig14 request for every sweep point, in canonical order. */
+ServeRequest
+sweepRequest(const Fig14Knobs &knobs)
+{
+    ServeRequest req;
+    req.kind = ServeKind::Fig14;
+    req.fig14 = knobs;
+    req.points.resize(fig14Points().size());
+    std::iota(req.points.begin(), req.points.end(), 0u);
+    return req;
+}
+
+/** A served sweep rendered from its acks, as `save-ctl fig14` does. */
+struct ServedSweep
+{
+    ServeClient::Reply reply;
+    std::string report;
+    int acks = 0;
+};
+
+ServedSweep
+serveSweep(ServeClient &client, const ServeRequest &req, int timeout_ms)
+{
+    ServedSweep out;
+    std::vector<NetResult> results(fig14Points().size());
+    out.reply = client.call(
+        req,
+        [&](const ServeShardAck &a) {
+            EXPECT_EQ(a.key, fig14Points().at(a.index).key);
+            results.at(a.index) = a.result;
+            ++out.acks;
+        },
+        timeout_ms);
+    if (out.reply.kind == ServeClient::Reply::Kind::Ok)
+        out.report = fig14Report(results);
+    return out;
+}
+
 /** In-process reference report for the quick knobs. */
 std::string
 inprocReport(const std::string &cache_dir)
@@ -86,6 +149,60 @@ inprocReport(const std::string &cache_dir)
                         : est.inference(e.net, e.prec);
     });
 }
+
+/**
+ * A stand-in daemon for one connection: it reads the request, answers
+ * with `script` verbatim and hangs up, so a test can send the
+ * protocol violations a real daemon never does.
+ */
+class ScriptedDaemon
+{
+  public:
+    using Script = std::vector<std::pair<uint32_t, std::vector<uint8_t>>>;
+
+    ScriptedDaemon(const std::string &path, Script script) : path_(path)
+    {
+        struct sockaddr_un addr;
+        std::memset(&addr, 0, sizeof(addr));
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        ::unlink(path.c_str());
+        EXPECT_EQ(::bind(listen_fd_,
+                         reinterpret_cast<struct sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listen_fd_, 1), 0);
+        thread_ = std::thread([this, script = std::move(script)] {
+            int fd = ::accept(listen_fd_, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            Frame req;
+            if (frameReadFd(fd, req, 5000, serveKnownFourcc,
+                            kServeMaxPayload, "test") == FrameRead::Ok)
+                for (const auto &[fourcc, payload] : script)
+                    if (!frameWriteFd(fd, fourcc, kServeVersion, payload))
+                        break; // the client hung up mid-script
+            ::close(fd);
+        });
+    }
+
+    ~ScriptedDaemon()
+    {
+        thread_.join();
+        ::close(listen_fd_);
+        ::unlink(path_.c_str());
+    }
+
+    ScriptedDaemon(const ScriptedDaemon &) = delete;
+    ScriptedDaemon &operator=(const ScriptedDaemon &) = delete;
+
+  private:
+    std::string path_;
+    int listen_fd_ = -1;
+    std::thread thread_;
+};
 
 /** Spawns the real save-serve binary and manages its lifetime. */
 class DaemonProc
@@ -233,16 +350,22 @@ TEST(ServeProtocol, RequestRoundTripAllKinds)
     ServeRequest f;
     f.kind = ServeKind::Fig14;
     f.priority = ServePriority::Low;
+    f.deadlineMs = 4500;
     f.fig14.gridStep = 9;
     f.fig14.kSteps = 8;
     f.fig14.seed = 42;
     f.fig14.isolation = fig14IsolationCode("process");
+    f.points = {15, 0, 3};
     ServeRequest f2 =
         serveDecodeRequest(kServeVersion, serveEncodeRequest(f));
     EXPECT_EQ(f2.kind, ServeKind::Fig14);
+    EXPECT_EQ(f2.priority, ServePriority::Low);
+    EXPECT_EQ(f2.deadlineMs, 4500u);
     EXPECT_EQ(f2.fig14.gridStep, 9);
+    EXPECT_EQ(f2.fig14.kSteps, 8);
     EXPECT_EQ(f2.fig14.seed, 42u);
     EXPECT_EQ(fig14IsolationName(f2.fig14.isolation), "process");
+    EXPECT_EQ(f2.points, (std::vector<uint32_t>{15, 0, 3}));
 
     for (ServeKind k :
          {ServeKind::Ping, ServeKind::Status, ServeKind::Drain}) {
@@ -271,7 +394,39 @@ TEST(ServeProtocol, RejectsVersionSkewTruncationAndTrailingBytes)
     EXPECT_THROW(serveDecodeRequest(kServeVersion, trail), TraceError);
 }
 
-TEST(ServeProtocol, StatusProgressBusyRoundTrip)
+TEST(ServeProtocol, SweepRequestRejectsSkewTruncationAndBadCounts)
+{
+    ServeRequest r;
+    r.kind = ServeKind::Fig14;
+    r.points = {1, 2, 3};
+    const std::vector<uint8_t> p = serveEncodeRequest(r);
+    ASSERT_EQ(serveDecodeRequest(kServeVersion, p).points, r.points);
+
+    // An older or a newer version is a skew, not a guess.
+    EXPECT_THROW(serveDecodeRequest(kServeVersion - 1, p), TraceError);
+    EXPECT_THROW(serveDecodeRequest(kServeVersion + 1, p), TraceError);
+
+    std::vector<uint8_t> trunc(p.begin(), p.end() - 4); // last index
+    EXPECT_THROW(serveDecodeRequest(kServeVersion, trunc), TraceError);
+
+    std::vector<uint8_t> trail = p;
+    trail.push_back(0);
+    EXPECT_THROW(serveDecodeRequest(kServeVersion, trail), TraceError);
+
+    // A count larger than the payload is corruption, not an allocation.
+    std::vector<uint8_t> huge = p;
+    const size_t count_at = p.size() - 4 * (r.points.size() + 1);
+    huge[count_at + 3] = 0x7f;
+    EXPECT_THROW(serveDecodeRequest(kServeVersion, huge), TraceError);
+
+    // An empty list decodes: the session rejects it, typed (Config).
+    r.points.clear();
+    EXPECT_TRUE(
+        serveDecodeRequest(kServeVersion, serveEncodeRequest(r))
+            .points.empty());
+}
+
+TEST(ServeProtocol, StatusAndBusyRoundTrip)
 {
     ServeStatus s;
     s.accepted = 7;
@@ -282,14 +437,6 @@ TEST(ServeProtocol, StatusProgressBusyRoundTrip)
     EXPECT_EQ(s2.shed, 3u);
     EXPECT_EQ(s2.reloads, 2u);
 
-    ServeProgress pr;
-    pr.done = 3;
-    pr.total = 16;
-    pr.key = "train/VGG16 FP32 dense";
-    ServeProgress pr2 = serveDecodeProgress(serveEncodeProgress(pr));
-    EXPECT_EQ(pr2.done, 3u);
-    EXPECT_EQ(pr2.total, 16u);
-    EXPECT_EQ(pr2.key, pr.key);
 
     ServeBusyInfo b;
     b.reason = "admission queue full (4/4)";
@@ -302,8 +449,7 @@ TEST(ServeProtocol, StatusProgressBusyRoundTrip)
 
 TEST(ServeProtocol, FrameReadRejectsBitFlipAndTruncation)
 {
-    ServeRequest r;
-    r.kind = ServeKind::Fig14;
+    ServeRequest r = sweepRequest(quickKnobs());
     std::vector<uint8_t> payload = serveEncodeRequest(r);
     std::vector<uint8_t> frame =
         frameEncode(kServeRequest, kServeVersion, payload);
@@ -383,11 +529,11 @@ TEST(ServeDaemon, PingStatusAndGracefulDrain)
 
 TEST(ServeDaemon, GemmServedAndWarmRepeatHitsCas)
 {
-    std::string cache = tmpDir("gemmcas");
+    TempDir cache("gemmcas");
     std::string sock = socketPath("gemm");
     DaemonProc d;
-    d.start(sock,
-            {"--workers=2", "--queue-cap=4", "--cache-dir=" + cache});
+    d.start(sock, {"--workers=2", "--queue-cap=4",
+                   "--cache-dir=" + cache.path()});
     ASSERT_TRUE(d.waitReady());
 
     ServeClient client(sock);
@@ -459,9 +605,7 @@ TEST(ServeDaemon, QueueFullShedsWithTypedBusy)
     // Occupy the single worker with a multi-second sweep.
     std::thread blocker([&] {
         ServeClient client(sock);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
+        ServeRequest req = sweepRequest(quickKnobs());
         req.fig14.gridStep = 3;
         req.fig14.kSteps = 64;
         req.fig14.tiles = 4;
@@ -536,16 +680,14 @@ TEST(ServeDaemon, MidSweepClientDisconnectKeepsServing)
                             reinterpret_cast<struct sockaddr *>(&addr),
                             sizeof(addr)),
                   0);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
+        ServeRequest req = sweepRequest(quickKnobs());
         ASSERT_TRUE(frameWriteFd(fd, kServeRequest, kServeVersion,
                                  serveEncodeRequest(req)));
         ::close(fd);
     }
 
-    // The daemon must notice (pre-execution probe or the first
-    // progress write) and move on to the next client.
+    // The daemon must notice (pre-execution probe or the first ack
+    // write) and move on to the next client.
     ServeClient client(sock);
     for (int waited = 0; waited < 120000; waited += 100) {
         if (getStatus(client).errors >= 1)
@@ -572,14 +714,12 @@ TEST(ServeDaemon, DrainWaitsForInflightWork)
     std::atomic<bool> sweep_ok{false};
     std::thread inflight([&] {
         ServeClient client(sock);
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
+        ServeRequest req = sweepRequest(quickKnobs());
         req.fig14.kSteps = 64; // slow enough to still be in flight
         req.fig14.tiles = 2;
-        ServeClient::Reply r = client.call(req, nullptr, 300000);
-        if (r.kind == ServeClient::Reply::Kind::Ok &&
-            !r.text.empty())
+        ServedSweep r = serveSweep(client, req, 300000);
+        if (r.reply.kind == ServeClient::Reply::Kind::Ok &&
+            r.acks == static_cast<int>(fig14Points().size()))
             sweep_ok.store(true);
     });
 
@@ -604,8 +744,8 @@ TEST(ServeDaemon, DrainWaitsForInflightWork)
 
 TEST(ServeDaemon, SighupReloadsConfig)
 {
-    std::string dir = tmpDir("cfg");
-    std::string cfg = dir + "/serve.conf";
+    TempDir dir("cfg");
+    std::string cfg = dir.path() + "/serve.conf";
     {
         FILE *f = std::fopen(cfg.c_str(), "w");
         ASSERT_NE(f, nullptr);
@@ -656,33 +796,24 @@ TEST(ServeDaemon, StaleSocketIsReclaimed)
 
 TEST(ServeFig14, ServedReportIsByteIdenticalAndWarmFromCas)
 {
-    std::string cache = tmpDir("fig14cas");
+    TempDir cache("fig14cas");
     std::string sock = socketPath("fig14");
     DaemonProc d;
-    d.start(sock,
-            {"--workers=1", "--queue-cap=4", "--cache-dir=" + cache});
+    d.start(sock, {"--workers=1", "--queue-cap=4",
+                   "--cache-dir=" + cache.path()});
     ASSERT_TRUE(d.waitReady());
 
     // Served first (cold: populates the shared store).
     ServeClient client(sock);
-    ServeRequest req;
-    req.kind = ServeKind::Fig14;
-    req.fig14 = quickKnobs();
-    int progress_frames = 0;
-    ServeClient::Reply served = client.call(
-        req,
-        [&](const ServeProgress &p) {
-            ++progress_frames;
-            EXPECT_EQ(p.total, 16u);
-        },
-        300000);
-    ASSERT_EQ(served.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(progress_frames, 16);
+    const ServeRequest req = sweepRequest(quickKnobs());
+    ServedSweep served = serveSweep(client, req, 300000);
+    ASSERT_EQ(served.reply.kind, ServeClient::Reply::Kind::Ok);
+    EXPECT_EQ(served.acks, static_cast<int>(fig14Points().size()));
 
     // In-process reference over the SAME store: warm, and the bytes
     // must match exactly.
-    std::string ref = inprocReport(cache);
-    EXPECT_EQ(served.text, ref);
+    std::string ref = inprocReport(cache.path());
+    EXPECT_EQ(served.report, ref);
 
     // save-ctl must print the identical bytes to stdout.
     std::string cmd = std::string(SAVE_CTL_BIN_PATH) +
@@ -713,13 +844,13 @@ TEST(ServeFig14, ServedReportIsByteIdenticalAndWarmFromCas)
 
     std::string sock2 = socketPath("fig14b");
     DaemonProc d2;
-    d2.start(sock2,
-             {"--workers=1", "--queue-cap=4", "--cache-dir=" + cache});
+    d2.start(sock2, {"--workers=1", "--queue-cap=4",
+                     "--cache-dir=" + cache.path()});
     ASSERT_TRUE(d2.waitReady());
     ServeClient client2(sock2);
-    ServeClient::Reply warm = client2.call(req, nullptr, 300000);
-    ASSERT_EQ(warm.kind, ServeClient::Reply::Kind::Ok);
-    EXPECT_EQ(warm.text, ref);
+    ServedSweep warm = serveSweep(client2, req, 300000);
+    ASSERT_EQ(warm.reply.kind, ServeClient::Reply::Kind::Ok);
+    EXPECT_EQ(warm.report, ref);
     ServeStatus s2 = getStatus(client2);
     EXPECT_GE(s2.casHits, 1u);
 }
@@ -736,14 +867,12 @@ TEST(ServeFig14, ByteIdenticalAcrossIsolationNoneAndProcess)
 
     ServeClient client(sock);
     for (const char *iso : {"none", "process"}) {
-        ServeRequest req;
-        req.kind = ServeKind::Fig14;
-        req.fig14 = quickKnobs();
+        ServeRequest req = sweepRequest(quickKnobs());
         req.fig14.isolation = fig14IsolationCode(iso);
-        ServeClient::Reply r = client.call(req, nullptr, 600000);
-        ASSERT_EQ(r.kind, ServeClient::Reply::Kind::Ok)
-            << "isolation=" << iso << ": " << r.error.what;
-        EXPECT_EQ(r.text, ref) << "isolation=" << iso;
+        ServedSweep r = serveSweep(client, req, 600000);
+        ASSERT_EQ(r.reply.kind, ServeClient::Reply::Kind::Ok)
+            << "isolation=" << iso << ": " << r.reply.error.what;
+        EXPECT_EQ(r.report, ref) << "isolation=" << iso;
     }
 }
 
@@ -755,9 +884,7 @@ TEST(ServeDaemon, DeadlineExceededReturnsTypedError)
     ASSERT_TRUE(d.waitReady());
 
     ServeClient client(sock);
-    ServeRequest req;
-    req.kind = ServeKind::Fig14;
-    req.fig14 = quickKnobs();
+    ServeRequest req = sweepRequest(quickKnobs());
     req.deadlineMs = 1; // expires before the sweep can finish
     ServeClient::Reply r = client.call(req, nullptr, 300000);
     EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error);
@@ -768,4 +895,118 @@ TEST(ServeDaemon, DeadlineExceededReturnsTypedError)
     ping.kind = ServeKind::Ping;
     EXPECT_EQ(client.call(ping, nullptr, 5000).kind,
               ServeClient::Reply::Kind::Ok);
+}
+
+TEST(ServeFig14, BadPointListGetsTypedConfigErrorAndNoAck)
+{
+    std::string sock = socketPath("badlist");
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--cache-dir=none"});
+    ASSERT_TRUE(d.waitReady());
+
+    ServeClient client(sock);
+    const uint32_t n = static_cast<uint32_t>(fig14Points().size());
+    for (const std::vector<uint32_t> &list :
+         {std::vector<uint32_t>{}, std::vector<uint32_t>{0, n},
+          std::vector<uint32_t>{n + 100}}) {
+        ServeRequest req = sweepRequest(quickKnobs());
+        req.points = list;
+        int acks = 0;
+        ServeClient::Reply r = client.call(
+            req, [&](const ServeShardAck &) { ++acks; }, 60000);
+        EXPECT_EQ(r.kind, ServeClient::Reply::Kind::Error)
+            << list.size() << " point(s)";
+        EXPECT_EQ(r.error.kind, WireErrorKind::Config) << r.error.what;
+        // Rejected up front: not even the valid leading point acks.
+        EXPECT_EQ(acks, 0) << r.error.what;
+    }
+}
+
+TEST(ServeFig14, MultiPointRequestAcksInOrderAndSimulatesEachSliceOnce)
+{
+    TempDir cache("points");
+    std::string sock = socketPath("points");
+    DaemonProc d;
+    d.start(sock, {"--workers=1", "--queue-cap=4", "--threads=2",
+                   "--cache-dir=" + cache.path()});
+    ASSERT_TRUE(d.waitReady());
+
+    // Inference and training of the same networks share slices, so
+    // the list's distinct slices are fewer than its per-point sum.
+    SimSession::Options so;
+    so.runtime.cacheDir = "none";
+    so.runtime.threads = 2;
+    SimSession ref(std::move(so));
+    ServeRequest req = sweepRequest(quickKnobs());
+    req.points = {8, 0, 15, 3, 7};
+    std::vector<uint32_t> acked;
+    ServeClient client(sock);
+    ServeClient::Reply r = client.call(
+        req,
+        [&](const ServeShardAck &a) {
+            acked.push_back(a.index);
+            EXPECT_EQ(a.key, fig14Points().at(a.index).key);
+            const NetResult want =
+                ref.runFig14Point(quickKnobs(), static_cast<int>(a.index));
+            EXPECT_EQ(std::memcmp(&a.result, &want, sizeof(NetResult)), 0)
+                << "point " << a.index;
+        },
+        300000);
+    ASSERT_EQ(r.kind, ServeClient::Reply::Kind::Ok) << r.error.what;
+    EXPECT_EQ(acked, req.points);
+
+    // On a fresh store every distinct slice missed, simulated and
+    // landed exactly once: one miss and one insert per record.
+    ServeStatus s = pollStatus(client, [](const ServeStatus &st) {
+        return st.completed >= 1;
+    });
+    const uint64_t records =
+        ResultStore(ResultStore::Options{cache.path(), 0}).records();
+    EXPECT_GT(records, 0u);
+    EXPECT_EQ(s.casMisses, records);
+    EXPECT_EQ(s.casInserts, records);
+    EXPECT_EQ(s.casHits, 0u);
+}
+
+TEST(ServeClient, AcksMustFollowTheRequestedListAndPrecedeTheResult)
+{
+    auto ack = [](uint32_t idx) {
+        ServeShardAck a;
+        a.index = idx;
+        a.key = fig14Points().at(idx).key;
+        return std::make_pair(kServePointAck, serveEncodeShardAck(a));
+    };
+    const std::pair<uint32_t, std::vector<uint8_t>> done{kServeResult,
+                                                         {}};
+    ServeRequest req = sweepRequest(quickKnobs());
+    req.points = {4, 2};
+    const std::vector<ScriptedDaemon::Script> bad = {
+        {ack(2), ack(4), done},         // out of list order
+        {ack(4), ack(9), done},         // a point nobody asked for
+        {ack(4), ack(4), ack(2), done}, // a duplicate
+        {ack(4), done},                 // a result before every ack
+        {ack(4), ack(2), ack(2), done}, // one ack too many
+    };
+    for (size_t i = 0; i < bad.size(); ++i) {
+        std::string sock = socketPath("script");
+        ScriptedDaemon d(sock, bad[i]);
+        ServeClient client(sock);
+        EXPECT_THROW(client.call(req, nullptr, 5000), TraceError)
+            << "script " << i;
+    }
+
+    // The well-formed script hands both acks over, in list order.
+    std::string sock = socketPath("script");
+    ScriptedDaemon d(sock, {ack(4), ack(2), done});
+    ServeClient client(sock);
+    std::vector<uint32_t> seen;
+    EXPECT_EQ(client
+                  .call(req,
+                        [&](const ServeShardAck &a) {
+                            seen.push_back(a.index);
+                        },
+                        5000)
+                  .kind,
+              ServeClient::Reply::Kind::Ok);
+    EXPECT_EQ(seen, req.points);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shard coordinator tests: protocol-v2 frame round-trips and version
+ * Shard coordinator tests: the point ack round-trip and version
  * checks, the canonical point enumeration, and the coordinator
  * fault matrix — shard-count invariance, daemon crash mid-batch,
  * straggler rebalance, protocol version skew against a fake peer,
@@ -50,17 +50,35 @@ using namespace save;
 
 namespace {
 
-std::string
-tmpDir(const char *tag)
+/** A fresh directory under /tmp, removed with everything in it when
+ *  the test ends. */
+class TempDir
 {
-    std::string t = "/tmp/save_shard_test_" + std::string(tag) + "_" +
-                    std::to_string(::getpid()) + "_XXXXXX";
-    std::vector<char> buf(t.begin(), t.end());
-    buf.push_back('\0');
-    const char *d = ::mkdtemp(buf.data());
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
+  public:
+    explicit TempDir(const char *tag)
+    {
+        std::string t = "/tmp/save_shard_test_" + std::string(tag) +
+                        "_" + std::to_string(::getpid()) + "_XXXXXX";
+        std::vector<char> buf(t.begin(), t.end());
+        buf.push_back('\0');
+        const char *d = ::mkdtemp(buf.data());
+        EXPECT_NE(d, nullptr);
+        path_ = d ? d : "";
+    }
+    ~TempDir()
+    {
+        std::error_code ec;
+        if (!path_.empty())
+            std::filesystem::remove_all(path_, ec);
+    }
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 std::string
 socketPath(const char *tag)
@@ -330,44 +348,8 @@ slurp(const std::string &path)
 } // namespace
 
 // ---------------------------------------------------------------------
-// Protocol v2 frames
+// Protocol frames and the point enumeration
 // ---------------------------------------------------------------------
-
-TEST(ShardProtocol, JobRoundtrip)
-{
-    ServeShardJob j;
-    j.priority = ServePriority::High;
-    j.deadlineMs = 4500;
-    j.knobs = quickKnobs();
-    j.points = {0, 3, 15};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-
-    ServeShardJob d = serveDecodeShardJob(kServeVersion, p);
-    EXPECT_EQ(d.priority, ServePriority::High);
-    EXPECT_EQ(d.deadlineMs, 4500u);
-    EXPECT_EQ(d.knobs.gridStep, 9);
-    EXPECT_EQ(d.knobs.kSteps, 8);
-    EXPECT_EQ(d.points, (std::vector<uint32_t>{0, 3, 15}));
-}
-
-TEST(ShardProtocol, JobRejectsBadVersions)
-{
-    ServeShardJob j;
-    j.points = {1};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-    // An older or a newer version is a skew, not a guess.
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion - 1, p), TraceError);
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion + 1, p), TraceError);
-}
-
-TEST(ShardProtocol, JobRejectsTruncatedPointList)
-{
-    ServeShardJob j;
-    j.points = {1, 2, 3};
-    std::vector<uint8_t> p = serveEncodeShardJob(j);
-    p.resize(p.size() - 4); // drop the last index
-    EXPECT_THROW(serveDecodeShardJob(kServeVersion, p), TraceError);
-}
 
 TEST(ShardProtocol, AckRoundtrip)
 {
@@ -398,7 +380,8 @@ TEST(ShardProtocol, RequestDecodesOnlyTheCurrentVersion)
 TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
 {
     const std::vector<Fig14Point> &pts = fig14Points();
-    ASSERT_EQ(static_cast<int>(pts.size()), fig14PointCount());
+    // Inference and training of 6 CNN and 2 GNMT entries.
+    ASSERT_EQ(pts.size(), 16u);
 
     // The renderer must ask for keys in exactly the enumeration
     // order — that equality is what makes index-addressed dispatch
@@ -412,6 +395,11 @@ TEST(ShardProtocol, PointEnumerationMatchesReportWalk)
     ASSERT_EQ(walk.size(), pts.size());
     for (size_t i = 0; i < pts.size(); ++i)
         EXPECT_EQ(walk[i], pts[i].key) << "index " << i;
+
+    // The index-addressed renderer needs exactly one result per point.
+    EXPECT_NO_THROW(fig14Report(std::vector<NetResult>(pts.size())));
+    EXPECT_THROW(fig14Report(std::vector<NetResult>(pts.size() - 1)),
+                 SimError);
 }
 
 TEST(ShardProtocol, SocketListParsing)
@@ -542,8 +530,8 @@ TEST(ShardCoordinator, SharedStoreSimulatesEverySliceOnce)
     // One daemon and two in-process lanes, all process-isolated over one
     // fresh store. A duplicate simulation carries the same bytes, so the
     // report cannot show it; the store's frames can.
-    const std::string root = tmpDir("once");
-    const std::string store = root + "/cas";
+    const TempDir root("once");
+    const std::string store = root.path() + "/cas";
     const std::string s = socketPath("once");
     DaemonProc d;
     d.start(s, {"--workers=1", "--threads=1", "--cache-dir=" + store,
@@ -571,8 +559,6 @@ TEST(ShardCoordinator, SharedStoreSimulatesEverySliceOnce)
                         << " times";
     EXPECT_EQ(ResultStore(ResultStore::Options{store, 0}).records(),
               frames.size());
-    std::error_code ec;
-    std::filesystem::remove_all(root, ec);
 }
 
 TEST(ShardCoordinator, StragglerRebalance)
@@ -626,8 +612,8 @@ TEST(ShardCoordinator, VersionSkewExcludesBackend)
 
 TEST(ShardCoordinator, JournalInterchangesWithBench)
 {
-    std::string dir = tmpDir("journal");
-    std::string jpath = dir + "/sweep.journal";
+    const TempDir dir("journal");
+    std::string jpath = dir.path() + "/sweep.journal";
 
     // First run journals every point...
     {
@@ -653,7 +639,8 @@ TEST(ShardCoordinator, JournalInterchangesWithBench)
 
 TEST(ShardCoordinator, CoordinatorKillThenJournalResume)
 {
-    std::string dir = tmpDir("kill");
+    const TempDir tmp("kill");
+    const std::string &dir = tmp.path();
     std::string jpath = dir + "/sweep.journal";
 
     // Run the real binary and SIGKILL it once the journal shows
@@ -696,5 +683,6 @@ TEST(ShardCoordinator, CoordinatorKillThenJournalResume)
     const int resumed = std::atoi(m[1].str().c_str());
     const int computed = std::atoi(m[2].str().c_str());
     EXPECT_GE(resumed, 3);
-    EXPECT_EQ(resumed + computed, fig14PointCount());
+    EXPECT_EQ(resumed + computed,
+              static_cast<int>(fig14Points().size()));
 }
