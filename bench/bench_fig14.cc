@@ -17,7 +17,9 @@
  * (slower); the default --grid=3 samples every 30% and interpolates.
  * With --journal=PATH (or SAVE_JOURNAL) every completed network
  * evaluation is checkpointed, so an interrupted run resumes without
- * resimulating finished points.
+ * resimulating finished points. A point poisoned by a permanently
+ * failed slice is a failed point: past --max-failures the run exits 1
+ * (the failed slices are listed on stderr).
  */
 
 #include "bench_util.h"
@@ -29,41 +31,37 @@ static int
 run(int argc, char **argv)
 {
     Flags flags(argc, argv);
-    EstimatorOptions eopt = estimatorOptions(flags);
-    SweepRunner runner(flags, "fig14",
-                       {eopt.gridStep, eopt.kSteps, eopt.tiles,
-                        eopt.cores, static_cast<int64_t>(eopt.seed)});
+    const EstimatorOptions eopt = estimatorOptions(flags);
+    const SweepOptions sw = sweepOptions(flags);
+    SweepLedger ledger(sw.journalPath, fig14SweepHash(fig14Knobs(flags)));
     TrainingEstimator est(MachineConfig{}, SaveConfig{}, eopt);
     // Run-dependent counters go to stderr: stdout must be bit-identical
     // across cold/warm cache states and isolation modes (CI diffs it).
     std::fprintf(stderr, "simulation fan-out: %d thread(s)\n",
                  est.threads());
 
-    Fig14Eval eval = [&](const std::string &key, const Fig14Entry &e,
-                         bool training) {
-        return runner.point<NetResult>(
-            key, [&] { return est.evaluate({&e.net, e.prec, !training}); });
-    };
-
-    // Queue the slices of every point the journal will not resume, so
-    // the whole sweep drains as one batch queue while points render.
-    std::string report;
-    {
-        std::vector<NetEvaluation> evals;
-        for (const Fig14Point &p : fig14Points())
-            if (!runner.resumes<NetResult>(p.key))
-                evals.push_back(fig14Evaluation(p));
-        TrainingEstimator::Prefetch fan = est.prefetch(evals);
-        report = fig14Report(eval);
-    }
-    std::fputs(report.c_str(), stdout);
+    // One walk over every point the journal does not resume.
+    const std::vector<Fig14Point> &pts = fig14Points();
+    std::vector<NetResult> results(pts.size());
+    std::vector<size_t> todo;
+    std::vector<NetEvaluation> evals;
+    for (size_t i = 0; i < pts.size(); ++i)
+        if (!ledger.resume(pts[i].key, results[i])) {
+            todo.push_back(i);
+            evals.push_back(fig14Evaluation(pts[i]));
+        }
+    est.evaluateEach(evals, [&](size_t j, const NetResult &r) {
+        results[todo[j]] = r;
+        ledger.record(pts[todo[j]].key, r);
+    });
+    std::fputs(fig14Report(results).c_str(), stdout);
 
     std::fprintf(stderr,
                  "slice simulations: %lu, persistent hits: %lu\n",
                  static_cast<unsigned long>(est.simulations()),
                  static_cast<unsigned long>(est.persistentHits()));
     maybePrintCacheStats(flags, est.resultStore());
-    return runner.finish(est.failures().size(), est.failureReport());
+    return ledger.finish(sw.maxFailures, est.failureReport());
 }
 
 int

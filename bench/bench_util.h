@@ -20,9 +20,10 @@
  *                   evictions/bytes) to stderr after the run
  *   --max-retries=N retries for a failed sweep point / slice (default 2)
  *   --fail-fast     abort the sweep on the first permanent failure
- *   --max-failures=N tolerated permanent failures before a nonzero
- *                   exit (default 0: any failure fails the run, but
- *                   only after the whole sweep completes)
+ *   --max-failures=N tolerated permanently failed sweep points
+ *                   before a nonzero exit (default 0: any failure
+ *                   fails the run, but only after the whole sweep
+ *                   completes)
  *   --journal=PATH  crash-safe sweep journal ("none" disables; default
  *                   is the SAVE_JOURNAL environment variable). An
  *                   interrupted run resumes from completed points.
@@ -49,16 +50,12 @@
 #ifndef SAVE_BENCH_BENCH_UTIL_H
 #define SAVE_BENCH_BENCH_UTIL_H
 
-#include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -67,6 +64,7 @@
 #include "dnn/estimator.h"
 #include "dnn/networks.h"
 #include "engine/engine.h"
+#include "serve/session.h"
 #include "util/error.h"
 #include "util/journal.h"
 #include "util/logging.h"
@@ -131,18 +129,35 @@ class Flags
     char **argv_;
 };
 
-/** Estimator options from flags (grid=3 keeps default runs quick;
- *  --grid=1 reproduces the paper's full 10% sampling). */
+/** The five Fig. 14 shape knobs (--grid/--ksteps/--tiles/--cores/
+ *  --seed) over Fig14Knobs' defaults. Fan-out and isolation stay at
+ *  their defaults: they are each front end's own business. */
+inline Fig14Knobs
+fig14Knobs(const Flags &flags)
+{
+    Fig14Knobs k;
+    k.gridStep = flags.getInt("grid", k.gridStep);
+    k.kSteps = flags.getInt("ksteps", k.kSteps);
+    k.tiles = flags.getInt("tiles", k.tiles);
+    k.cores = flags.getInt("cores", k.cores);
+    k.seed = static_cast<uint64_t>(
+        flags.getInt("seed", static_cast<int>(k.seed)));
+    return k;
+}
+
+/** Estimator options from flags: the fig14Knobs() shape (grid=3
+ *  keeps default runs quick; --grid=1 reproduces the paper's full 10%
+ *  sampling) plus fan-out, store, retry and isolation flags. */
 inline EstimatorOptions
 estimatorOptions(const Flags &flags)
 {
+    const Fig14Knobs k = fig14Knobs(flags);
     EstimatorOptions o;
-    o.gridStep = flags.getInt("grid", 3);
-    o.kSteps = flags.getInt("ksteps", o.kSteps);
-    o.tiles = flags.getInt("tiles", o.tiles);
-    o.cores = flags.getInt("cores", o.cores);
-    o.seed = static_cast<uint64_t>(
-        flags.getInt("seed", static_cast<int>(o.seed)));
+    o.gridStep = k.gridStep;
+    o.kSteps = k.kSteps;
+    o.tiles = k.tiles;
+    o.cores = k.cores;
+    o.seed = k.seed;
     o.threads = flags.getInt("threads", 0);
     o.cacheDir = flags.getStr("cache-dir", "");
     o.cacheMaxMb = flags.getInt("cache-max-mb", 0);
@@ -219,22 +234,6 @@ maybePrintCacheStats(const Flags &flags, const ResultStore *store)
     std::fputs(cacheStatsLine(flags, store).c_str(), stderr);
 }
 
-/**
- * Generic fallback for the poisoned-result test used by SweepRunner:
- * floating-point sweep values are poisoned when NaN; everything else
- * defaults to "not poisoned" unless a type-specific overload (e.g.
- * NetResult in dnn/estimator.h) says otherwise.
- */
-template <typename T>
-inline bool
-sweepResultPoisoned(const T &v)
-{
-    if constexpr (std::is_floating_point_v<T>)
-        return std::isnan(v);
-    else
-        return false;
-}
-
 /** Sweep robustness knobs shared by the bench harnesses. */
 struct SweepOptions
 {
@@ -268,75 +267,26 @@ sweepOptions(const Flags &flags)
 }
 
 /**
- * The end-of-sweep report both SweepRunner::finish and save-shard
- * print to stderr: the journal's resume summary (when `journal` is
- * set), the permanent failures, then `extra_report`. Returns the
- * process exit code: 0 when the failures plus `extra_failures` stay
- * within `max_failures`, 1 otherwise.
- */
-inline int
-finishSweep(const std::string &journal, size_t resumed, size_t computed,
-            const std::vector<SweepFailure> &failures,
-            size_t extra_failures, const std::string &extra_report,
-            int max_failures)
-{
-    if (!journal.empty())
-        std::fprintf(stderr,
-                     "journal %s: %zu point(s) resumed, %zu "
-                     "computed\n",
-                     journal.c_str(), resumed, computed);
-    if (!failures.empty()) {
-        std::fprintf(stderr, "%zu sweep point(s) failed permanently:\n",
-                     failures.size());
-        for (const SweepFailure &f : failures)
-            std::fprintf(stderr, "  %s: %s (%d attempts)\n",
-                         f.key.c_str(), f.reason.c_str(), f.attempts);
-    }
-    std::fputs(extra_report.c_str(), stderr);
-    size_t total = failures.size() + extra_failures;
-    if (total == 0)
-        return 0;
-    if (total <= static_cast<size_t>(max_failures)) {
-        std::fprintf(stderr,
-                     "%zu failure(s) within --max-failures=%d; "
-                     "exiting 0\n",
-                     total, max_failures);
-        return 0;
-    }
-    return 1;
-}
-
-/**
- * Fault-isolated, journaled sweep driver.
- *
- * point() computes one sweep point: a journal hit replays the stored
- * payload without recomputing anything; a miss runs the worker with
- * the retry policy, journals the result, and — when retries are
- * exhausted without --fail-fast — records a failure and yields a NaN
- * (floating-point T) or value-initialized result so the rest of the
- * sweep still completes. finish() prints the failure report and maps
- * it to the process exit code.
- *
- * Thread-safe: point() may be called concurrently from parallelSweep
- * workers.
+ * The retry loop over a SweepLedger: point() replays a point the
+ * ledger resumes, else runs `fn` up to 1 + --max-retries times and
+ * hands the value to the ledger. Past the retries (without
+ * --fail-fast) the point is a permanent failure and yields NaN
+ * (floating-point T) or a value-initialized T, so the sweep completes.
+ * Thread-safe: parallelSweep workers call point() concurrently.
  */
 class SweepRunner
 {
   public:
     SweepRunner(const Flags &flags, const char *bench,
                 std::initializer_list<int64_t> knobs)
-        : opt_(sweepOptions(flags))
+        : opt_(sweepOptions(flags)),
+          ledger_(opt_.journalPath, sweepHash(bench, knobs))
     {
-        if (!opt_.journalPath.empty())
-            journal_ = std::make_unique<SweepJournal>(
-                opt_.journalPath, sweepHash(bench, knobs));
     }
 
-    explicit SweepRunner(SweepOptions opt) : opt_(std::move(opt))
+    explicit SweepRunner(SweepOptions opt)
+        : opt_(std::move(opt)), ledger_(opt_.journalPath, 0)
     {
-        if (!opt_.journalPath.empty())
-            journal_ = std::make_unique<SweepJournal>(opt_.journalPath,
-                                                      0);
     }
 
     template <typename T, typename Fn>
@@ -344,21 +294,12 @@ class SweepRunner
     point(const std::string &key, Fn fn)
     {
         T v;
-        if (journaled(key, v)) {
-            resumed_.fetch_add(1, std::memory_order_relaxed);
+        if (ledger_.resume(key, v))
             return v;
-        }
         const int attempts = 1 + opt_.maxRetries;
         for (int a = 1;; ++a) {
             try {
-                T v = fn();
-                // Never journal a poisoned result as a success; the
-                // journal's last-wins records let a later clean value
-                // supersede whatever an older run may have written.
-                if (journal_ && !sweepResultPoisoned(v))
-                    journal_->record(key, SweepJournal::encode(v));
-                computed_.fetch_add(1, std::memory_order_relaxed);
-                return v;
+                v = fn();
             } catch (const std::exception &e) {
                 if (a < attempts) {
                     SAVE_WARN("sweep point '", key, "' attempt ", a,
@@ -368,69 +309,20 @@ class SweepRunner
                 }
                 if (opt_.failFast)
                     throw;
-                {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    failures_.push_back(
-                        {key, e.what(), attempts});
-                }
-                SAVE_WARN("sweep point '", key,
-                          "' failed permanently after ", attempts,
-                          " attempt(s): ", e.what());
+                ledger_.fail(key, e.what(), attempts);
                 return failedValue<T>();
             }
+            ledger_.record(key, v, a);
+            return v;
         }
     }
 
-    /** True when point() will resume `key` from the journal instead
-     *  of computing it. */
-    template <typename T>
-    bool
-    resumes(const std::string &key) const
-    {
-        T v;
-        return journaled(key, v);
-    }
+    const SweepLedger &ledger() const { return ledger_; }
 
-    size_t resumedPoints() const
-    {
-        return resumed_.load(std::memory_order_relaxed);
-    }
-    size_t computedPoints() const
-    {
-        return computed_.load(std::memory_order_relaxed);
-    }
-    bool journaling() const { return journal_ != nullptr; }
-
-    /** finishSweep() over this runner's journal and failures: the
-     *  report on stderr, the process exit code returned. `extra` adds
-     *  failures outside the sweep points (e.g. estimator slices). */
-    int
-    finish(size_t extra_failures = 0,
-           const std::string &extra_report = "")
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return finishSweep(journal_ ? journal_->path() : std::string(),
-                           resumedPoints(), computedPoints(), failures_,
-                           extra_failures, extra_report,
-                           opt_.maxFailures);
-    }
+    /** The ledger's report on stderr; returns the exit code. */
+    int finish() const { return ledger_.finish(opt_.maxFailures); }
 
   private:
-    /** A journaled point resumes only if it is a real value: a
-     *  NaN-poisoned record (a permanently failed point journaled by an
-     *  older run) is treated as a miss so the resumed run re-attempts
-     *  it instead of replaying the failure forever. */
-    template <typename T>
-    bool
-    journaled(const std::string &key, T &v) const
-    {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "journal payloads are raw bytes");
-        std::string hex;
-        return journal_ && journal_->lookup(key, &hex) &&
-               SweepJournal::decode(hex, v) && !sweepResultPoisoned(v);
-    }
-
     template <typename T>
     static T
     failedValue()
@@ -442,11 +334,7 @@ class SweepRunner
     }
 
     SweepOptions opt_;
-    std::unique_ptr<SweepJournal> journal_;
-    std::atomic<size_t> resumed_{0};
-    std::atomic<size_t> computed_{0};
-    std::mutex mu_;
-    std::vector<SweepFailure> failures_;
+    SweepLedger ledger_;
 };
 
 /** Print the shared flag reference (stderr). */

@@ -11,8 +11,11 @@
  * A served fig14 sweep asks for every point, renders the report from
  * the daemon's per-point acks with the shared renderer, and prints it
  * to stdout — byte-identical to `bench_fig14` run in-process with the
- * same knobs (progress lines go to stderr). Exit codes: 0 ok, 1
- * daemon-side error, 2 usage, 3 shed by admission control (BUSY —
+ * same knobs (progress lines go to stderr). A NaN-poisoned ack (a
+ * slice the daemon failed permanently) is a failed point: the report
+ * still prints, then the sweep ledger lists the failures on stderr
+ * and the exit code is 1. Exit codes: 0 ok, 1 daemon-side error or
+ * failed sweep point, 2 usage, 3 shed by admission control (BUSY —
  * retry later).
  */
 
@@ -54,7 +57,8 @@ printUsage(const char *argv0)
         "(1)\n"
         "  --seed=N (7)  --threads=N (0 = daemon pool)\n"
         "  --isolation=none|thread|process (daemon default)\n"
-        "exit codes: 0 ok, 1 error, 2 usage, 3 busy (shed; retry)\n",
+        "exit codes: 0 ok, 1 error or failed sweep point, 2 usage, 3 "
+        "busy (shed; retry)\n",
         argv0);
 }
 
@@ -153,12 +157,7 @@ runCommand(int argc, char **argv)
         req.vpus = flags.getInt("vpus", 2);
     } else if (cmd == "fig14") {
         req.kind = ServeKind::Fig14;
-        req.fig14.gridStep = flags.getInt("grid", 3);
-        req.fig14.kSteps = flags.getInt("ksteps", 192);
-        req.fig14.tiles = flags.getInt("tiles", 6);
-        req.fig14.cores = flags.getInt("cores", 1);
-        req.fig14.seed =
-            static_cast<uint64_t>(flags.getInt("seed", 7));
+        req.fig14 = fig14Knobs(flags);
         req.fig14.threads = flags.getInt("threads", 0);
         req.fig14.isolation =
             fig14IsolationCode(flags.getStr("isolation", ""));
@@ -174,8 +173,10 @@ runCommand(int argc, char **argv)
     ServeClient client(socket_path);
     std::vector<NetResult> results(req.points.size());
     size_t done = 0;
+    SweepLedger ledger; // no journal: the pass/fail rule only
     ServeClient::ProgressFn progress = [&](const ServeShardAck &a) {
         results[a.index] = a.result;
+        ledger.record(a.key, a.result);
         std::fprintf(stderr, "progress %zu/%zu %s\n", ++done,
                      results.size(), a.key.c_str());
     };
@@ -276,7 +277,7 @@ runCommand(int argc, char **argv)
                         jsonEscape(report).c_str());
         else
             std::fputs(report.c_str(), stdout);
-        break;
+        return ledger.finish(0);
     }
     }
     return 0;

@@ -13,7 +13,8 @@
  * With --journal=PATH completed points are checkpointed in the exact
  * format bench_fig14 uses, so a coordinator killed mid-sweep resumes
  * recomputing nothing — and a bench journal resumes a distributed
- * run (and vice versa).
+ * run (and vice versa). A NaN-poisoned point is a permanent failure,
+ * as in bench_fig14: past --max-failures the run exits 1.
  */
 
 #include <cstdio>
@@ -84,13 +85,7 @@ run(int argc, char **argv)
     o.rpcTimeoutMs = flags.getInt("rpc-timeout-ms", 120000);
 
     o.runtime = runtimeOptions(flags);
-
-    o.knobs.gridStep = flags.getInt("grid", 3);
-    o.knobs.kSteps = flags.getInt("ksteps", o.knobs.kSteps);
-    o.knobs.tiles = flags.getInt("tiles", o.knobs.tiles);
-    o.knobs.cores = flags.getInt("cores", o.knobs.cores);
-    o.knobs.seed = static_cast<uint64_t>(
-        flags.getInt("seed", static_cast<int>(o.knobs.seed)));
+    o.knobs = fig14Knobs(flags);
 
     SweepOptions sw = sweepOptions(flags);
     o.journalPath = sw.journalPath;
@@ -99,20 +94,16 @@ run(int argc, char **argv)
     std::string report = coord.run();
     std::fputs(report.c_str(), stdout);
 
-    const ShardCoordinator::Stats &st = coord.stats();
-    if (!coord.stats().failures.empty() || st.requeues > 0 ||
+    const ShardCoordinator::Stats st = coord.stats();
+    if (!st.failures.empty() || st.requeues > 0 ||
         st.speculative > 0 || st.backendsExcluded > 0)
         std::fprintf(stderr,
                      "shard: %zu requeue(s), %zu speculative "
                      "re-dispatch(es), %zu backend(s) excluded\n",
                      st.requeues, st.speculative,
                      st.backendsExcluded);
-    // SweepRunner::finish's report and exit contract, so resume tests
-    // and humans read one format.
-    return finishSweep(sw.journalPath, st.resumed, st.computed,
-                       st.failures, 0,
-                       cacheStatsLine(flags, coord.resultStore()),
-                       sw.maxFailures);
+    return coord.ledger().finish(
+        sw.maxFailures, cacheStatsLine(flags, coord.resultStore()));
 }
 
 int

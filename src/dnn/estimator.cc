@@ -808,20 +808,33 @@ TrainingEstimator::evaluate(const NetEvaluation &ev)
     return r;
 }
 
+void
+TrainingEstimator::evaluateEach(
+    const std::vector<NetEvaluation> &evals,
+    const std::function<void(size_t, const NetResult &)> &onResult)
+{
+    // An unwinding walk destroys the handle, which cancels the rest.
+    Prefetch fan = prefetch(evals);
+    for (size_t i = 0; i < evals.size(); ++i)
+        onResult(i, evaluate(evals[i]));
+}
+
 NetResult
 TrainingEstimator::inference(const NetworkModel &net, Precision precision)
 {
-    const NetEvaluation ev{&net, precision, true};
-    Prefetch fan = prefetch({ev});
-    return evaluate(ev);
+    NetResult r;
+    evaluateEach({{&net, precision, true}},
+                 [&r](size_t, const NetResult &v) { r = v; });
+    return r;
 }
 
 NetResult
 TrainingEstimator::training(const NetworkModel &net, Precision precision)
 {
-    const NetEvaluation ev{&net, precision, false};
-    Prefetch fan = prefetch({ev});
-    return evaluate(ev);
+    NetResult r;
+    evaluateEach({{&net, precision, false}},
+                 [&r](size_t, const NetResult &v) { r = v; });
+    return r;
 }
 
 } // namespace save

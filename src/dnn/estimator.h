@@ -149,10 +149,10 @@ struct NetResult
 
 /**
  * sweepResultPoisoned: true when a sweep-point result carries the NaN
- * marker of a permanently failed slice. The journaled sweep driver
- * (bench/bench_util.h) consults this so poisoned results are never
- * journaled as successes and a resumed run re-attempts them instead
- * of replaying the failure forever.
+ * marker of a permanently failed slice. The sweep ledger
+ * (util/journal.h) consults this, so a poisoned point counts as a
+ * permanent failure, is never journaled, and a resumed run
+ * re-attempts it instead of replaying the failure forever.
  */
 inline bool
 sweepResultPoisoned(const PhaseBreakdown &b)
@@ -171,9 +171,9 @@ sweepResultPoisoned(const NetResult &r)
            sweepResultPoisoned(r.saveDynamic);
 }
 
-/** One whole-network evaluation a prefetch covers: the surface points
- *  inference() (inferenceOnly) or training() of `net` will request.
- *  `net` is borrowed and must outlive the prefetch call. */
+/** One whole-network evaluation: what inference() (inferenceOnly) or
+ *  training() of `net` computes. `net` is borrowed and must outlive
+ *  the evaluateEach() call. */
 struct NetEvaluation
 {
     const NetworkModel *net;
@@ -204,65 +204,24 @@ class TrainingEstimator
 
     ~TrainingEstimator();
 
-    /** Forward pass at end-of-training sparsity: a prefetch of this
-     *  one evaluation, scoped to an evaluate() walk. */
+    /** Forward pass at end-of-training sparsity (a one-element walk,
+     *  as evaluateEach). */
     NetResult inference(const NetworkModel &net, Precision precision);
 
-    /** Mean per-epoch time across the whole training run (scoped
-     *  prefetch plus evaluate(), as inference()). */
+    /** Mean per-epoch time across the whole training run (ditto). */
     NetResult training(const NetworkModel &net, Precision precision);
 
     /**
-     * inference() or training() without their prefetch: the walk
-     * claims and simulates inline any point no prefetch queued, and
-     * waits on (helping drain) the queued ones. A sweep prefetches
-     * every evaluation once, then evaluates them in order.
+     * The one point-list walk: queue every evaluation's slices at once
+     * (prefetch), then evaluate the list in order and hand each result
+     * and its list position to `onResult` while later evaluations'
+     * slices still simulate. A throw from an evaluation (failFast) or
+     * from `onResult` cancels the rest: unstarted slices are dropped,
+     * and the call rethrows once no thread still runs one.
      */
-    NetResult evaluate(const NetEvaluation &ev);
-
-  private:
-    /** The queue behind a Prefetch (defined in estimator.cc). */
-    struct FanOut;
-
-  public:
-    /**
-     * A started slice fan-out (see prefetch). Move-only. Destroying it
-     * cancels what is left: batches nobody started are dropped — their
-     * keys leave the in-memory cache, and a concurrent waiter on one of
-     * them re-claims and computes it — running batches stop after
-     * their current slice, and the destructor returns only once no
-     * thread still runs one, so no pool task touches the estimator
-     * afterwards. Must be destroyed before the estimator.
-     */
-    class Prefetch
-    {
-      public:
-        Prefetch() = default;
-        Prefetch(Prefetch &&) noexcept = default;
-        Prefetch &operator=(Prefetch &&) = delete;
-        Prefetch(const Prefetch &) = delete;
-        ~Prefetch() { cancel(); }
-
-      private:
-        friend class TrainingEstimator;
-        /** Drop unstarted batches and wait out running ones. */
-        void cancel();
-
-        std::shared_ptr<FanOut> fan_;
-    };
-
-    /**
-     * Claim every surface point the evaluations will touch (in
-     * first-request order, skipping points already claimed), batch the
-     * claims by micro-kernel shape and queue the batches in claim
-     * order. One pool task per batch takes the next unstarted batch,
-     * and a sliceTime() waiter on a queued point helps drain the queue
-     * before it blocks, so the caller can walk the evaluations while
-     * later ones are still simulating. Store hits resolve inside the
-     * batches. Returns without waiting.
-     */
-    [[nodiscard]] Prefetch
-    prefetch(const std::vector<NetEvaluation> &evals);
+    void evaluateEach(
+        const std::vector<NetEvaluation> &evals,
+        const std::function<void(size_t, const NetResult &)> &onResult);
 
     /**
      * Time of one kernel at given sparsities (ns, full layer).
@@ -323,6 +282,41 @@ class TrainingEstimator
     /** Surface-point cache key (shape + sparsity bins); shared with
      *  the SoA prefetch batching in dnn/slice_batch.h. */
     using Key = SliceKey;
+
+    /** The queue behind a Prefetch (defined in estimator.cc). */
+    struct FanOut;
+
+    /** A started slice fan-out. Destroying it cancels what is left:
+     *  unstarted batches are dropped (their keys leave the in-memory
+     *  cache, so a concurrent waiter re-claims them), and it returns
+     *  once no thread still runs a batch of it. */
+    class Prefetch
+    {
+      public:
+        Prefetch() = default;
+        Prefetch(Prefetch &&) noexcept = default;
+        Prefetch &operator=(Prefetch &&) = delete;
+        Prefetch(const Prefetch &) = delete;
+        ~Prefetch() { cancel(); }
+
+      private:
+        friend class TrainingEstimator;
+        /** Drop unstarted batches and wait out running ones. */
+        void cancel();
+
+        std::shared_ptr<FanOut> fan_;
+    };
+
+    /** Claim every surface point the evaluations will touch that no
+     *  one claimed yet (in first-request order), batch the claims by
+     *  micro-kernel shape and queue the batches for the pool, plus any
+     *  sliceTime() waiter, to drain. Returns without waiting. */
+    [[nodiscard]] Prefetch
+    prefetch(const std::vector<NetEvaluation> &evals);
+
+    /** One evaluation: claims and simulates inline any point no
+     *  prefetch queued, and waits on (helping drain) the queued ones. */
+    NetResult evaluate(const NetEvaluation &ev);
 
     /** Sparsity-bin corners + interpolation weights for one lookup. */
     struct BinWeights

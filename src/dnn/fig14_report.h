@@ -58,7 +58,7 @@ struct Fig14Point
 const std::vector<Fig14Point> &fig14Points();
 
 /** The estimator evaluation behind one sweep point (what a
- *  sweep-wide TrainingEstimator::prefetch is given). */
+ *  TrainingEstimator::evaluateEach walk is given). */
 inline NetEvaluation
 fig14Evaluation(const Fig14Point &p)
 {

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "util/error.h"
+#include "util/journal.h"
 
 namespace save {
 
@@ -38,6 +39,13 @@ fig14IsolationCode(const std::string &name)
         return 3;
     throw ConfigError("unknown isolation mode '" + name +
                       "' (expected none, thread, or process)");
+}
+
+uint64_t
+fig14SweepHash(const Fig14Knobs &k)
+{
+    return sweepHash("fig14", {k.gridStep, k.kSteps, k.tiles, k.cores,
+                               static_cast<int64_t>(k.seed)});
 }
 
 SimSession::SimSession(Options opt) : opt_(std::move(opt))
@@ -134,12 +142,8 @@ SimSession::runFig14Points(const Fig14Knobs &knobs,
                               std::to_string(pts.size()) + ")");
         evals.push_back(fig14Evaluation(pts[idx]));
     }
-    TrainingEstimator &est = estimatorFor(knobs);
-    // Points evaluate as their slices land while later points' slices
-    // still run; an unwinding walk cancels the rest.
-    TrainingEstimator::Prefetch fan = est.prefetch(evals);
-    for (size_t i = 0; i < indices.size(); ++i)
-        onPoint(indices[i], est.evaluate(evals[i]));
+    estimatorFor(knobs).evaluateEach(
+        evals, [&](size_t i, const NetResult &r) { onPoint(indices[i], r); });
 }
 
 std::string
@@ -171,16 +175,6 @@ SimSession::simulations() const
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto &[id, est] : estimators_)
         n += est->simulations();
-    return n;
-}
-
-uint64_t
-SimSession::sliceFailures() const
-{
-    uint64_t n = 0;
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &[id, est] : estimators_)
-        n += est->failures().size();
     return n;
 }
 

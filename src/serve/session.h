@@ -69,6 +69,10 @@ struct Fig14Knobs
 std::string fig14IsolationName(int32_t code);
 int32_t fig14IsolationCode(const std::string &name);
 
+/** The Fig. 14 journal hash over the five shape knobs, shared by every
+ *  front end so their journals interchange. */
+uint64_t fig14SweepHash(const Fig14Knobs &k);
+
 class SimSession
 {
   public:
@@ -110,10 +114,9 @@ class SimSession
         std::function<void(uint32_t index, const NetResult &result)>;
 
     /**
-     * The one Fig. 14 point runner. Queues the slices of every listed
-     * point (indices into fig14Points()) with one
-     * TrainingEstimator::prefetch, then evaluates the points in list
-     * order and hands each result to `onPoint`, while later points'
+     * The one Fig. 14 point runner: TrainingEstimator::evaluateEach
+     * over the listed points (indices into fig14Points()), handing
+     * each result to `onPoint` in list order while later points'
      * slices are still simulating. A throw from `onPoint` cancels the
      * rest: slices nobody started are dropped and the call returns (by
      * rethrowing) once none is running. Throws ConfigError, before any
@@ -137,9 +140,6 @@ class SimSession
     /** Slice simulations actually executed across all estimators this
      *  session created (store misses). */
     uint64_t simulations() const;
-
-    /** Permanently failed slice points across all estimators. */
-    uint64_t sliceFailures() const;
 
     /** The session's store (shared or owned; never null). */
     const ResultStore *resultStore() const { return store_; }

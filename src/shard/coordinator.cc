@@ -44,34 +44,31 @@ shardParseSockets(const std::string &list)
     return out;
 }
 
-ShardCoordinator::ShardCoordinator(Options opt) : opt_(std::move(opt))
+ShardCoordinator::Options
+ShardCoordinator::validated(Options opt)
 {
-    if (opt_.inprocLanes < 0)
+    if (opt.inprocLanes < 0)
         throw ConfigError("--inproc must be >= 0 (got " +
-                          std::to_string(opt_.inprocLanes) + ")");
-    if (opt_.inprocLanes == 0 && opt_.sockets.empty())
+                          std::to_string(opt.inprocLanes) + ")");
+    if (opt.inprocLanes == 0 && opt.sockets.empty())
         throw ConfigError("no backends: need --inproc >= 1 or at "
                           "least one --sockets entry");
-    if (opt_.batch < 1)
+    if (opt.batch < 1)
         throw ConfigError("--batch must be >= 1 (got " +
-                          std::to_string(opt_.batch) + ")");
-    if (opt_.maxAttempts < 1)
+                          std::to_string(opt.batch) + ")");
+    if (opt.maxAttempts < 1)
         throw ConfigError("--max-attempts must be >= 1 (got " +
-                          std::to_string(opt_.maxAttempts) + ")");
-    if (opt_.stragglerMs < 0)
+                          std::to_string(opt.maxAttempts) + ")");
+    if (opt.stragglerMs < 0)
         throw ConfigError("--straggler-ms must be >= 0 (got " +
-                          std::to_string(opt_.stragglerMs) + ")");
+                          std::to_string(opt.stragglerMs) + ")");
+    return opt;
+}
 
-    if (!opt_.journalPath.empty()) {
-        // The exact hash/keys/payloads bench_fig14 writes: a
-        // single-host journal resumes a distributed run and back.
-        const Fig14Knobs &k = opt_.knobs;
-        journal_ = std::make_unique<SweepJournal>(
-            opt_.journalPath,
-            sweepHash("fig14", {k.gridStep, k.kSteps, k.tiles, k.cores,
-                                static_cast<int64_t>(k.seed)}));
-    }
-
+ShardCoordinator::ShardCoordinator(Options opt)
+    : opt_(validated(std::move(opt))),
+      ledger_(opt_.journalPath, fig14SweepHash(opt_.knobs))
+{
     if (opt_.inprocLanes > 0) {
         SimSession::Options so;
         so.mcfg = opt_.mcfg;
@@ -82,6 +79,15 @@ ShardCoordinator::ShardCoordinator(Options opt) : opt_(std::move(opt))
 }
 
 ShardCoordinator::~ShardCoordinator() = default;
+
+ShardCoordinator::Stats
+ShardCoordinator::stats() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    Stats s = stats_;
+    s.failures = ledger_.failures();
+    return s;
+}
 
 const ResultStore *
 ShardCoordinator::resultStore() const
@@ -149,17 +155,7 @@ ShardCoordinator::complete(uint32_t idx, const NetResult &r)
     p.phase = PointPhase::Done;
     p.result = r;
     --remaining_;
-    ++stats_.computed;
-    if (journal_ && !sweepResultPoisoned(r)) {
-        try {
-            journal_->record(fig14Points()[idx].key,
-                             SweepJournal::encode(r));
-        } catch (const std::exception &e) {
-            // A dead journal costs resume, not correctness.
-            SAVE_WARN("journal write for '", fig14Points()[idx].key,
-                      "' failed: ", e.what());
-        }
-    }
+    ledger_.record(fig14Points()[idx].key, r, p.attempts);
     cv_.notify_all();
 }
 
@@ -186,18 +182,13 @@ ShardCoordinator::requeueFailure(uint32_t idx, const std::string &reason)
         return;
     ++stats_.requeues;
     if (p.attempts >= opt_.maxAttempts) {
-        // Budget exhausted: finish the point as a permanent failure
-        // with a value-initialized result — the SweepRunner contract,
-        // so the rest of the sweep (and the report) still completes.
+        // Budget exhausted: a permanent point failure with a
+        // value-initialized result, so the rest of the sweep (and the
+        // report) still completes.
         p.phase = PointPhase::Done;
-        p.failed = true;
         p.result = NetResult{};
         --remaining_;
-        stats_.failures.push_back(
-            {fig14Points()[idx].key, reason, p.attempts});
-        SAVE_WARN("shard point '", fig14Points()[idx].key,
-                  "' failed permanently after ", p.attempts,
-                  " dispatch(es): ", reason);
+        ledger_.fail(fig14Points()[idx].key, reason, p.attempts);
     } else {
         SAVE_WARN("shard point '", fig14Points()[idx].key,
                   "' dispatch ", p.attempts, "/", opt_.maxAttempts,
@@ -372,23 +363,11 @@ ShardCoordinator::run()
     points_.assign(pts.size(), Point{});
     remaining_ = pts.size();
     stats_ = Stats{};
-
-    if (journal_) {
-        for (uint32_t i = 0; i < pts.size(); ++i) {
-            std::string hex;
-            NetResult v;
-            // Same resume rule as SweepRunner::point: a NaN-poisoned
-            // record is a miss, so the resumed run re-attempts it.
-            if (journal_->lookup(pts[i].key, &hex) &&
-                SweepJournal::decode(hex, v) &&
-                !sweepResultPoisoned(v)) {
-                points_[i].phase = PointPhase::Done;
-                points_[i].result = v;
-                --remaining_;
-                ++stats_.resumed;
-            }
+    for (uint32_t i = 0; i < pts.size(); ++i)
+        if (ledger_.resume(pts[i].key, points_[i].result)) {
+            points_[i].phase = PointPhase::Done;
+            --remaining_;
         }
-    }
 
     if (remaining_ > 0) {
         // The in-process lanes count as ONE backend: they share a

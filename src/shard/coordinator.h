@@ -35,9 +35,9 @@
  *    an attempt;
  *  - any other failure re-queues the unfinished points, with a
  *    bounded per-point dispatch budget (`maxAttempts`); past it the
- *    point is recorded as a permanent failure and yields a
- *    value-initialized result, exactly like the single-host
- *    SweepRunner, so the rest of the sweep still completes;
+ *    point is a permanent failure in the sweep ledger and yields a
+ *    value-initialized result, so the rest of the sweep still
+ *    completes;
  *  - a daemon that fails `kMaxBackendFaults` consecutive dispatches
  *    (faults, Busy replies and refused connections all count), or
  *    whose status probe reports a protocol version other than
@@ -48,12 +48,10 @@
  *    completion wins and the duplicate is discarded (results are
  *    bit-identical, so the race is benign).
  *
- * Crash resume: completed points are recorded in the same
- * SweepJournal (`sweepHash("fig14", ...)`, same keys, same NetResult
- * payloads) the single-host bench writes, as they complete — a
- * coordinator killed mid-sweep resumes from the journal recomputing
- * nothing already merged, and the journal is interchangeable with
- * bench_fig14's.
+ * Journal, resume and pass/fail go through a SweepLedger under
+ * fig14SweepHash, as in bench_fig14: a coordinator killed mid-sweep
+ * resumes recomputing nothing already merged, the two journals
+ * interchange, and a NaN-poisoned point is a permanent failure.
  */
 
 #ifndef SAVE_SHARD_COORDINATOR_H
@@ -106,10 +104,10 @@ class ShardCoordinator
         RuntimeOptions runtime{};
     };
 
+    /** The last run()'s dispatch counters plus the ledger's failures
+     *  (its resumed/computed counts are on ledger()). */
     struct Stats
     {
-        size_t resumed = 0;    ///< points replayed from the journal
-        size_t computed = 0;   ///< points computed by backends
         size_t dispatches = 0; ///< batches shipped (all backends)
         size_t requeues = 0;   ///< points re-queued after a fault
         size_t speculative = 0; ///< straggler re-dispatches
@@ -131,7 +129,10 @@ class ShardCoordinator
      */
     std::string run();
 
-    const Stats &stats() const { return stats_; }
+    Stats stats() const;
+
+    /** The sweep ledger: save-shard's finish() (report + exit code). */
+    const SweepLedger &ledger() const { return ledger_; }
 
     /** The in-process store (for --cache-stats); null when the run
      *  has no in-process lanes. */
@@ -150,7 +151,6 @@ class ShardCoordinator
         PointPhase phase = PointPhase::Pending;
         int attempts = 0;
         uint64_t dispatchNs = 0;
-        bool failed = false;
         NetResult result{};
     };
 
@@ -171,14 +171,17 @@ class ShardCoordinator
     void inprocLane(int lane);
     void daemonLane(const std::string &socket);
 
+    /** `opt`, or ConfigError on an out-of-range field. */
+    static Options validated(Options opt);
+
     Options opt_;
-    std::unique_ptr<SweepJournal> journal_;
+    SweepLedger ledger_;
 
     /** One shared session for every in-process lane (it is reentrant
      *  and owns the pool + store); null when inprocLanes == 0. */
     std::unique_ptr<SimSession> session_;
 
-    std::mutex mu_;
+    mutable std::mutex mu_;
     std::condition_variable cv_;
     std::vector<Point> points_;
     size_t remaining_ = 0;
@@ -187,7 +190,7 @@ class ShardCoordinator
     bool fatalIsConfig_ = false;
     std::string fatalMsg_;
 
-    Stats stats_;
+    Stats stats_; ///< dispatch counters (failures live in ledger_)
 };
 
 /** Parse a comma-separated socket list ("a.sock,b.sock"). */

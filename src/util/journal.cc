@@ -243,6 +243,57 @@ SweepJournal::lookup(const std::string &key, std::string *payload) const
 }
 
 void
+SweepLedger::fail(const std::string &key, const std::string &reason,
+                  int attempts)
+{
+    SAVE_WARN("sweep point '", key, "' failed permanently after ",
+              attempts, " attempt(s): ", reason);
+    std::lock_guard<std::mutex> lk(mu_);
+    failures_.push_back({key, reason, attempts});
+}
+
+std::vector<SweepFailure>
+SweepLedger::failures() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return failures_;
+}
+
+void
+SweepLedger::persist(const std::string &key, const std::string &payload)
+{
+    try {
+        journal_.record(key, payload);
+    } catch (const CacheError &e) {
+        SAVE_WARN("journal write for '", key, "' failed: ", e.what());
+    }
+}
+
+int
+SweepLedger::finish(int max_failures,
+                    const std::string &extra_report) const
+{
+    if (journal_.enabled())
+        std::fprintf(stderr, "journal %s: %zu point(s) resumed, %zu "
+                     "computed\n", journal_.path().c_str(), resumed(),
+                     computed());
+    const std::vector<SweepFailure> failed = failures();
+    if (!failed.empty())
+        std::fprintf(stderr, "%zu sweep point(s) failed permanently:\n",
+                     failed.size());
+    for (const SweepFailure &f : failed)
+        std::fprintf(stderr, "  %s: %s (%d attempts)\n", f.key.c_str(),
+                     f.reason.c_str(), f.attempts);
+    std::fputs(extra_report.c_str(), stderr);
+    if (failed.size() > static_cast<size_t>(max_failures))
+        return 1;
+    if (!failed.empty())
+        std::fprintf(stderr, "%zu failure(s) within --max-failures=%d; "
+                     "exiting 0\n", failed.size(), max_failures);
+    return 0;
+}
+
+void
 SweepJournal::record(const std::string &key, const std::string &payload)
 {
     if (!enabled())

@@ -1,7 +1,7 @@
 /**
  * @file
- * Append-only sweep journal: crash-safe checkpoint/resume for the
- * bench harnesses.
+ * The sweep ledger and its append-only journal: crash-safe
+ * checkpoint/resume and one pass/fail rule for every sweep front end.
  *
  * A fig14-19 style sweep is a list of independent points, each
  * expensive to compute. The journal records every completed point
@@ -45,21 +45,23 @@
 #ifndef SAVE_UTIL_JOURNAL_H
 #define SAVE_UTIL_JOURNAL_H
 
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 namespace save {
 
 /**
  * Stable id for a sweep's journal: FNV-1a over the bench name and
- * every knob value that shifts point results. Shared by the bench
- * harnesses and the shard coordinator so a distributed sweep can
- * resume a single-host journal (and vice versa) — the hash must be
- * computed in exactly one place for that to stay true.
+ * every knob value that shifts point results. The Fig. 14 front ends
+ * share one call of it (fig14SweepHash, serve/session.h), so their
+ * journals interchange.
  */
 uint64_t sweepHash(const char *bench,
                    std::initializer_list<int64_t> knobs);
@@ -72,6 +74,19 @@ struct SweepFailure
     std::string reason;
     int attempts = 0;
 };
+
+/** A floating-point sweep value is poisoned when NaN; other types
+ *  are not, unless an overload found by argument-dependent lookup
+ *  (NetResult's, in dnn/estimator.h) says otherwise. */
+template <typename T>
+inline bool
+sweepResultPoisoned(const T &v)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        return std::isnan(v);
+    else
+        return false;
+}
 
 /** Crash-tolerant key->payload journal for sweep checkpointing. */
 class SweepJournal
@@ -146,6 +161,77 @@ class SweepJournal
     size_t loadedRecords_ = 0;
     bool compacted_ = false;
     mutable std::mutex mu_;
+};
+
+/**
+ * The sweep contract every front end finishes through (bench_fig14,
+ * ShardCoordinator, save-ctl fig14, the benches' SweepRunner): the
+ * journal it opens plus one rule set for every point, whoever computed
+ * it. Resume: a NaN-poisoned record is a miss, so the run re-attempts
+ * it. Record: a poisoned value is a permanent point failure and never
+ * journaled; a journal write error only warns (it costs resume, not
+ * the value). Thread-safe.
+ */
+class SweepLedger
+{
+  public:
+    /** No journal: nothing resumes or persists. */
+    SweepLedger() = default;
+
+    /** Journal at `journal_path` (empty: none); throws as SweepJournal. */
+    SweepLedger(const std::string &journal_path, uint64_t config_hash)
+        : journal_(journal_path, config_hash)
+    {
+    }
+
+    /** True, with `v` filled from the journal, iff `key` resumes. */
+    template <typename T>
+    bool
+    resume(const std::string &key, T &v)
+    {
+        std::string hex;
+        if (!journal_.lookup(key, &hex) ||
+            !SweepJournal::decode(hex, v) || sweepResultPoisoned(v))
+            return false;
+        resumed_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+    }
+
+    /** One point computed in `attempts` tries. */
+    template <typename T>
+    void
+    record(const std::string &key, const T &v, int attempts = 1)
+    {
+        computed_.fetch_add(1, std::memory_order_relaxed);
+        if (sweepResultPoisoned(v))
+            fail(key, "NaN-poisoned by a permanently failed slice",
+                 attempts);
+        else
+            persist(key, SweepJournal::encode(v));
+    }
+
+    /** A point that produced no value after `attempts` tries. */
+    void fail(const std::string &key, const std::string &reason,
+              int attempts);
+
+    size_t resumed() const { return resumed_.load(); }
+    size_t computed() const { return computed_.load(); }
+    std::vector<SweepFailure> failures() const;
+
+    /** The end-of-sweep report on stderr (journal summary, failed
+     *  points, `extra_report`); returns the exit code: 1 iff more than
+     *  `max_failures` points failed. */
+    int finish(int max_failures,
+               const std::string &extra_report = "") const;
+
+  private:
+    void persist(const std::string &key, const std::string &payload);
+
+    SweepJournal journal_;
+    std::atomic<size_t> resumed_{0};
+    std::atomic<size_t> computed_{0};
+    mutable std::mutex mu_;
+    std::vector<SweepFailure> failures_;
 };
 
 } // namespace save

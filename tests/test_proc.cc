@@ -602,8 +602,8 @@ TEST_F(ProcTest, PoisonedJournalRecordsAreReattemptedOnResume)
         NetResult r = runner.point<NetResult>(
             "p", [&] { return good; });
         EXPECT_TRUE(bytesEqual(r, good));
-        EXPECT_EQ(runner.resumedPoints(), 0u);
-        EXPECT_EQ(runner.computedPoints(), 1u);
+        EXPECT_EQ(runner.ledger().resumed(), 0u);
+        EXPECT_EQ(runner.ledger().computed(), 1u);
     }
     {
         // ...and the recomputed value supersedes it for future resumes.
@@ -613,7 +613,7 @@ TEST_F(ProcTest, PoisonedJournalRecordsAreReattemptedOnResume)
             return NetResult{};
         });
         EXPECT_TRUE(bytesEqual(r, good));
-        EXPECT_EQ(runner.resumedPoints(), 1u);
+        EXPECT_EQ(runner.ledger().resumed(), 1u);
     }
 }
 
@@ -627,10 +627,16 @@ TEST_F(ProcTest, PoisonedResultsAreNeverJournaledAsSuccesses)
     SweepOptions so;
     so.journalPath = path;
     {
+        setQuietLogging(true);
         SweepRunner runner(so);
         NetResult r =
             runner.point<NetResult>("p", [&] { return poisoned; });
+        setQuietLogging(false);
         EXPECT_TRUE(sweepResultPoisoned(r)); // caller still sees it
+        // A poisoned point is a permanent failure of the sweep.
+        ASSERT_EQ(runner.ledger().failures().size(), 1u);
+        EXPECT_EQ(runner.ledger().failures()[0].key, "p");
+        EXPECT_EQ(runner.finish(), 1);
     }
     SweepJournal j(path, 0);
     EXPECT_FALSE(j.lookup("p")); // but it never reached the journal
@@ -672,7 +678,7 @@ TEST_F(ProcTest, JournalResumesAfterParentKilledMidSweep)
         EXPECT_DOUBLE_EQ(v, 10.0 + i);
     }
     setQuietLogging(false);
-    EXPECT_EQ(runner.resumedPoints(), 2u);
+    EXPECT_EQ(runner.ledger().resumed(), 2u);
     EXPECT_EQ(computed, 2);
 }
 

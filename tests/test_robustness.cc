@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "../bench/bench_util.h"
@@ -415,8 +417,8 @@ TEST_F(RobustnessTest, SweepRunnerResumesWithoutRecomputing)
         SweepRunner r(opt);
         EXPECT_DOUBLE_EQ(r.point<double>("a", work), 3.25);
         EXPECT_DOUBLE_EQ(r.point<double>("b", work), 3.25);
-        EXPECT_EQ(r.computedPoints(), 2u);
-        EXPECT_EQ(r.resumedPoints(), 0u);
+        EXPECT_EQ(r.ledger().computed(), 2u);
+        EXPECT_EQ(r.ledger().resumed(), 0u);
     }
     EXPECT_EQ(calls, 2);
 
@@ -425,9 +427,48 @@ TEST_F(RobustnessTest, SweepRunnerResumesWithoutRecomputing)
     EXPECT_DOUBLE_EQ(r.point<double>("a", work), 3.25);
     EXPECT_DOUBLE_EQ(r.point<double>("b", work), 3.25);
     EXPECT_EQ(calls, 2);
-    EXPECT_EQ(r.resumedPoints(), 2u);
-    EXPECT_EQ(r.computedPoints(), 0u);
+    EXPECT_EQ(r.ledger().resumed(), 2u);
+    EXPECT_EQ(r.ledger().computed(), 0u);
     EXPECT_EQ(r.finish(), 0);
+}
+
+TEST_F(RobustnessTest, SweepRunnerKeepsValueWhenJournalAppendFails)
+{
+    // A journal append error costs resume, never the value: with no
+    // retries left, the point computed correctly must still come back
+    // (not NaN) and must not count as failed. The child lowers its own
+    // file-size limit to the journal's header, so the record's write()
+    // fails with EFBIG (SIGXFSZ ignored).
+    const std::string path = (dir_ / "efbig.jrnl").string();
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        setQuietLogging(true);
+        SweepOptions opt;
+        opt.maxRetries = 0;
+        opt.journalPath = path;
+        SweepRunner r(opt);
+        struct rlimit lim;
+        lim.rlim_cur = lim.rlim_max = std::filesystem::file_size(path);
+        ::signal(SIGXFSZ, SIG_IGN);
+        if (::setrlimit(RLIMIT_FSIZE, &lim) != 0)
+            ::_exit(3);
+        const double v = r.point<double>("p", [] { return 4.5; });
+        if (v != 4.5)
+            ::_exit(1);
+        ::_exit(r.ledger().failures().empty() && r.finish() == 0 ? 0
+                                                                 : 2);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "1: value lost, 2: counted as failed, 3: setrlimit";
+    // The append really failed: nothing was journaled.
+    setQuietLogging(true);
+    SweepJournal j(path, 0);
+    setQuietLogging(false);
+    EXPECT_FALSE(j.lookup("p"));
 }
 
 TEST_F(RobustnessTest, SweepRunnerIsolatesAndReportsFailures)

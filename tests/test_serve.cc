@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -966,6 +967,44 @@ TEST(ServeFig14, MultiPointRequestAcksInOrderAndSimulatesEachSliceOnce)
     EXPECT_EQ(s.casMisses, records);
     EXPECT_EQ(s.casInserts, records);
     EXPECT_EQ(s.casHits, 0u);
+}
+
+TEST(ServeFig14, SaveCtlExitsOneOnPoisonedAcks)
+{
+    // A daemon whose acks carry a NaN-poisoned point (a slice it failed
+    // permanently): save-ctl still prints the report, then fails the
+    // sweep by the ledger's rule and exits 1.
+    std::vector<NetResult> results(fig14Points().size());
+    ScriptedDaemon::Script script;
+    for (uint32_t i = 0; i < results.size(); ++i) {
+        results[i].save2.forward = 1.0 + i;
+        if (i == 3)
+            results[i].save1.bwdInput =
+                std::numeric_limits<double>::quiet_NaN();
+        ServeShardAck a;
+        a.index = i;
+        a.key = fig14Points()[i].key;
+        a.result = results[i];
+        script.emplace_back(kServePointAck, serveEncodeShardAck(a));
+    }
+    script.emplace_back(kServeResult, std::vector<uint8_t>{});
+    const std::string sock = socketPath("poison");
+    ScriptedDaemon d(sock, script);
+
+    const std::string cmd = std::string(SAVE_CTL_BIN_PATH) +
+                            " fig14 --socket=" + sock +
+                            " --grid=9 --ksteps=8 --tiles=1 2>/dev/null";
+    FILE *p = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    std::string out;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0)
+        out.append(buf, n);
+    const int status = ::pclose(p);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    EXPECT_EQ(out, fig14Report(results));
 }
 
 TEST(ServeClient, AcksMustFollowTheRequestedListAndPrecedeTheResult)

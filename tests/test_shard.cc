@@ -42,8 +42,10 @@
 #include "serve/protocol.h"
 #include "shard/coordinator.h"
 #include "util/error.h"
+#include "util/fault_injection.h"
 #include "util/frame.h"
 #include "util/journal.h"
+#include "util/logging.h"
 #include "util/posix_io.h"
 
 using namespace save;
@@ -260,14 +262,21 @@ class ProbeThenVanish
     std::thread thread_;
 };
 
-/** Run the save-shard binary with stdout/stderr captured to files;
- *  returns the pid (caller waits or kills). */
+/** The fault plan under which 15 of the 16 quick-knob points come out
+ *  NaN-poisoned: 20% of slices fail on every attempt. */
+constexpr const char *kPoisonPlan = "slice=0.2,times=99,seed=3";
+
+/** Run a Fig. 14 front end (`bin`: save-shard or bench_fig14) at the
+ *  quick knobs with stdout/stderr captured to files and `env`
+ *  ("KEY=VALUE") added to the environment; returns the pid (caller
+ *  waits or kills). */
 pid_t
-spawnShard(const std::vector<std::string> &extra_args,
-           const std::string &out_path, const std::string &err_path)
+spawnSweep(const char *bin, const std::vector<std::string> &extra_args,
+           const std::string &out_path, const std::string &err_path,
+           const std::vector<std::string> &env = {})
 {
     std::vector<std::string> args;
-    args.push_back(SAVE_SHARD_BIN_PATH);
+    args.push_back(bin);
     args.push_back("--grid=9");
     args.push_back("--ksteps=8");
     args.push_back("--tiles=1");
@@ -275,6 +284,18 @@ spawnShard(const std::vector<std::string> &extra_args,
     args.push_back("--threads=2");
     for (const std::string &a : extra_args)
         args.push_back(a);
+    // Built before the fork: the child only dup2()s and exec()s.
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    std::vector<std::string> env_copy = env;
+    std::vector<char *> envp;
+    for (char **e = environ; *e != nullptr; ++e)
+        envp.push_back(*e);
+    for (std::string &e : env_copy)
+        envp.push_back(e.data());
+    envp.push_back(nullptr);
     pid_t pid = ::fork();
     EXPECT_GE(pid, 0);
     if (pid == 0) {
@@ -286,11 +307,7 @@ spawnShard(const std::vector<std::string> &extra_args,
             ::_exit(126);
         ::dup2(out, 1);
         ::dup2(err, 2);
-        std::vector<char *> argv;
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        argv.push_back(nullptr);
-        ::execv(SAVE_SHARD_BIN_PATH, argv.data());
+        ::execve(bin, argv.data(), envp.data());
         ::_exit(127);
     }
     return pid;
@@ -453,7 +470,7 @@ TEST(ShardCoordinator, MixedBackendIdentity)
     ShardCoordinator coord(std::move(o));
     EXPECT_EQ(coord.run(), referenceReport());
     EXPECT_EQ(coord.stats().backendsExcluded, 0u);
-    EXPECT_EQ(coord.stats().computed, fig14Points().size());
+    EXPECT_EQ(coord.ledger().computed(), fig14Points().size());
 }
 
 TEST(ShardCoordinator, DaemonCrashMidBatchDegradesGracefully)
@@ -612,28 +629,105 @@ TEST(ShardCoordinator, VersionSkewExcludesBackend)
 
 TEST(ShardCoordinator, JournalInterchangesWithBench)
 {
-    const TempDir dir("journal");
-    std::string jpath = dir.path() + "/sweep.journal";
-
-    // First run journals every point...
-    {
-        ShardCoordinator::Options o = quickOptions();
-        o.inprocLanes = 2;
-        o.journalPath = jpath;
-        ShardCoordinator coord(std::move(o));
-        EXPECT_EQ(coord.run(), referenceReport());
-        EXPECT_EQ(coord.stats().resumed, 0u);
-        EXPECT_EQ(coord.stats().computed, fig14Points().size());
+    // The real bench_fig14 and save-shard binaries, in both orders: a
+    // journal either one writes resumes the other to zero computed
+    // points, with the same bytes.
+    const TempDir tmp("journal");
+    const std::string &dir = tmp.path();
+    const std::pair<const char *, const char *> orders[] = {
+        {SAVE_BENCH_FIG14_BIN_PATH, SAVE_SHARD_BIN_PATH},
+        {SAVE_SHARD_BIN_PATH, SAVE_BENCH_FIG14_BIN_PATH},
+    };
+    for (size_t o = 0; o < 2; ++o) {
+        const std::string jpath =
+            dir + "/sweep" + std::to_string(o) + ".journal";
+        const char *bins[] = {orders[o].first, orders[o].second};
+        for (int run = 0; run < 2; ++run) {
+            const std::string out =
+                dir + "/out" + std::to_string(o) + std::to_string(run);
+            const std::string err =
+                dir + "/err" + std::to_string(o) + std::to_string(run);
+            pid_t pid =
+                spawnSweep(bins[run], {"--journal=" + jpath}, out, err);
+            ASSERT_GT(pid, 0);
+            ASSERT_EQ(waitExit(pid), 0) << bins[run] << "\n" << slurp(err);
+            EXPECT_EQ(slurp(out), referenceReport()) << bins[run];
+            const std::string want =
+                run == 0 ? "0 point(s) resumed, 16 computed"
+                         : "16 point(s) resumed, 0 computed";
+            EXPECT_NE(slurp(err).find(want), std::string::npos)
+                << bins[run] << " after " << bins[1 - run] << ":\n"
+                << slurp(err);
+        }
     }
-    // ...and a resumed run recomputes zero points.
+}
+
+TEST(ShardCoordinator, PoisonedPointIsAFailureAndNeverJournaled)
+{
+    // A slice that fails permanently poisons every point that reads
+    // it. Computed by an in-process lane, such a point is a permanent
+    // point failure, exactly as in bench_fig14, and stays out of the
+    // journal so a resumed run re-attempts it.
+    const TempDir tmp("poison");
+    const std::string jpath = tmp.path() + "/sweep.journal";
+    setQuietLogging(true);
+    FaultInjector::global().configure(FaultInjector::parsePlan(kPoisonPlan));
+    ShardCoordinator::Options o = quickOptions();
+    o.journalPath = jpath;
+    ShardCoordinator coord(std::move(o));
+    const std::string report = coord.run();
+    FaultInjector::global().reset();
+    setQuietLogging(false);
+
+    const ShardCoordinator::Stats st = coord.stats();
+    EXPECT_NE(report.find("nan"), std::string::npos);
+    EXPECT_EQ(coord.ledger().computed(), fig14Points().size());
+    ASSERT_FALSE(st.failures.empty());
+    EXPECT_LT(st.failures.size(), fig14Points().size());
+    SweepJournal journal(jpath, fig14SweepHash(quickKnobs()));
+    for (const SweepFailure &f : st.failures)
+        EXPECT_FALSE(journal.lookup(f.key)) << f.key;
+    EXPECT_EQ(journal.size() + st.failures.size(), fig14Points().size());
+}
+
+TEST(ShardCoordinator, PoisonedPointsFailTheShardBinary)
+{
+    // save-shard finishes through the sweep ledger: poisoned points
+    // past --max-failures exit 1, within it exit 0, and the report's
+    // bytes match bench_fig14's under the same faults either way.
+    const TempDir tmp("poisonbin");
+    const std::string &dir = tmp.path();
+    const std::vector<std::string> env = {
+        std::string("SAVE_FAULT_INJECT=") + kPoisonPlan};
+    struct Run
     {
-        ShardCoordinator::Options o = quickOptions();
-        o.inprocLanes = 2;
-        o.journalPath = jpath;
-        ShardCoordinator coord(std::move(o));
-        EXPECT_EQ(coord.run(), referenceReport());
-        EXPECT_EQ(coord.stats().resumed, fig14Points().size());
-        EXPECT_EQ(coord.stats().computed, 0u);
+        const char *bin;
+        std::vector<std::string> args;
+        int code;
+    };
+    const Run runs[] = {
+        {SAVE_BENCH_FIG14_BIN_PATH, {}, 1},
+        {SAVE_SHARD_BIN_PATH, {"--inproc=1", "--journal=none"}, 1},
+        {SAVE_SHARD_BIN_PATH,
+         {"--inproc=1", "--journal=none", "--max-failures=16"},
+         0},
+    };
+    std::string bench_out;
+    for (size_t i = 0; i < std::size(runs); ++i) {
+        const std::string out = dir + "/out" + std::to_string(i);
+        const std::string err = dir + "/err" + std::to_string(i);
+        pid_t pid = spawnSweep(runs[i].bin, runs[i].args, out, err, env);
+        ASSERT_GT(pid, 0);
+        EXPECT_EQ(waitExit(pid), runs[i].code) << i << "\n" << slurp(err);
+        if (i == 0) {
+            bench_out = slurp(out);
+            EXPECT_NE(bench_out.find("nan"), std::string::npos);
+        } else {
+            EXPECT_EQ(slurp(out), bench_out) << i;
+            EXPECT_NE(slurp(err).find("sweep point(s) failed permanently"),
+                      std::string::npos)
+                << i;
+        }
     }
 }
 
@@ -645,7 +739,8 @@ TEST(ShardCoordinator, CoordinatorKillThenJournalResume)
 
     // Run the real binary and SIGKILL it once the journal shows
     // progress (a coordinator crash, not a graceful stop).
-    pid_t pid = spawnShard({"--inproc=1", "--journal=" + jpath},
+    pid_t pid = spawnSweep(SAVE_SHARD_BIN_PATH,
+                           {"--inproc=1", "--journal=" + jpath},
                            dir + "/out1", dir + "/err1");
     ASSERT_GT(pid, 0);
     bool progressed = false;
@@ -668,8 +763,9 @@ TEST(ShardCoordinator, CoordinatorKillThenJournalResume)
 
     // The resumed run must replay every journaled point (recompute
     // zero already-merged points) and still match the reference.
-    pid = spawnShard({"--inproc=1", "--journal=" + jpath},
-                     dir + "/out2", dir + "/err2");
+    pid = spawnSweep(SAVE_SHARD_BIN_PATH,
+                     {"--inproc=1", "--journal=" + jpath}, dir + "/out2",
+                     dir + "/err2");
     ASSERT_GT(pid, 0);
     ASSERT_EQ(waitExit(pid), 0);
     EXPECT_EQ(slurp(dir + "/out2"), referenceReport());
