@@ -40,7 +40,7 @@ printUsage(const char *argv0)
         "                    0 relies entirely on the daemons)\n"
         "  --batch=N         max sweep points per daemon dispatch "
         "(default 4)\n"
-        "  --max-attempts=N  per-point dispatch budget before a "
+        "  --max-attempts=N  per-point fault budget before a "
         "permanent\n"
         "                    failure (default 3)\n"
         "  --straggler-ms=N  speculatively re-dispatch points in "

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "dnn/surface.h"
@@ -40,6 +39,183 @@ optionSalt(const EstimatorOptions &opt)
     salt = salt * 1000003ull + static_cast<uint64_t>(opt.tiles);
     salt = salt * 1000003ull + static_cast<uint64_t>(opt.cores);
     return salt;
+}
+
+/** The configurations every kernel is planned in: PlanKernel::corners
+ *  rows, in first-request order. */
+constexpr struct
+{
+    bool saveOn;
+    int vpus;
+} kPlanConfigs[3] = {{false, 2}, {true, 2}, {true, 1}};
+
+/** The gridStep-aligned bins around sparsity `s` and its bilinear
+ *  weight between them. */
+void
+bins(int step, double s, int &lo, int &hi, double &frac)
+{
+    const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
+    double b = std::clamp(s, 0.0, SparsitySurface::kMax) /
+               SparsitySurface::kStep;
+    lo = std::min(static_cast<int>(b) / step * step, max_bin);
+    hi = std::min(lo + step, max_bin);
+    frac = hi > lo ? (b - lo) / (hi - lo) : 0.0;
+    frac = std::clamp(frac, 0.0, 1.0);
+}
+
+/** One kernel of one epoch: its bucket, its scale, its bilinear
+ *  weights and, per kPlanConfigs row, its plan's key indices in the
+ *  interpolation's term order (w0,a0), (w1,a0), (w0,a1), (w1,a1); the
+ *  baseline's four are its one sparsity-oblivious key. */
+struct PlanKernel
+{
+    double PhaseBreakdown::*part;
+    double mac, macScale, dw, da;
+    uint32_t corners[3][4];
+};
+
+/** One evaluation's key walk, planned one epoch at a time: the
+ *  distinct keys its epochs so far requested, in first-request order,
+ *  and the last planned epoch's kernels in accumulation order. Only
+ *  one epoch's records are ever held. */
+struct Plan
+{
+    std::vector<SliceKey> keys;
+    std::map<SliceKey, uint32_t> index; ///< key -> position in keys
+    std::vector<PlanKernel> kernels;
+};
+
+/** Add one kernel invocation to `p`. */
+void
+planKernel(Plan &p, const EstimatorOptions &opt, const KernelSpec &spec,
+           Precision precision, double bs, double nbs, bool first_layer,
+           double mac)
+{
+    GemmConfig slice = spec.slice(precision, bs, nbs, opt.kSteps,
+                                  opt.seed);
+    auto index = [&p](const SliceKey &k) {
+        auto [it, inserted] = p.index.try_emplace(
+            k, static_cast<uint32_t>(p.keys.size()));
+        if (inserted)
+            p.keys.push_back(k);
+        return it->second;
+    };
+    double PhaseBreakdown::*part =
+        first_layer                     ? &PhaseBreakdown::firstLayer
+        : spec.phase == Phase::Forward  ? &PhaseBreakdown::forward
+        : spec.phase == Phase::BwdInput ? &PhaseBreakdown::bwdInput
+                                        : &PhaseBreakdown::bwdWeights;
+    PlanKernel k{part, mac, 0.0, 0.0, 0.0, {}};
+    int w0 = 0, w1 = 0, a0 = 0, a1 = 0;
+    bins(opt.gridStep, nbs, w0, w1, k.dw);
+    bins(opt.gridStep, bs, a0, a1, k.da);
+    for (int c = 0; c < 3; ++c) {
+        SliceKey key{slice.mr, slice.nrVecs, slice.kSteps,
+                     static_cast<uint8_t>(slice.pattern),
+                     static_cast<uint8_t>(precision),
+                     kPlanConfigs[c].saveOn,
+                     static_cast<uint8_t>(kPlanConfigs[c].vpus), 0, 0};
+        uint32_t *corner = k.corners[c];
+        if (!key.saveOn) {
+            // The baseline pipeline is data-oblivious: one sample
+            // serves every sparsity point.
+            std::fill_n(corner, 4, index(key));
+            continue;
+        }
+        auto at = [&](int wb, int ab) {
+            key.wBin = static_cast<uint8_t>(wb);
+            key.aBin = static_cast<uint8_t>(ab);
+            return index(key);
+        };
+        // Requested 00, 01, 10, 11 (first-request order), stored in
+        // term order.
+        corner[0] = at(w0, a0);
+        corner[2] = at(w0, a1);
+        corner[1] = at(w1, a0);
+        corner[3] = at(w1, a1);
+    }
+    slice.tiles = opt.tiles;
+    k.macScale = spec.macScale(slice);
+    p.kernels.push_back(k);
+}
+
+/** The one key walk: plan epoch `step` of `ev` into `p`, every kernel
+ *  in the order evaluate() accumulates them. */
+void
+planEpoch(Plan &p, const EstimatorOptions &opt, const NetEvaluation &ev,
+          int64_t step)
+{
+    const NetworkModel &net = *ev.net;
+    auto add = [&](const KernelSpec &spec, double bs, double nbs,
+                   bool first_layer, double mac) {
+        planKernel(p, opt, spec, ev.precision, bs, nbs, first_layer, mac);
+    };
+    p.kernels.clear();
+    ActivationProfile act = net.profile();
+    double ws = net.schedule.sparsityAt(step);
+    int n_kernels = net.numKernels();
+
+    if (!net.isLstm()) {
+        for (int i = 0; i < n_kernels; ++i) {
+            const ConvLayer &layer =
+                net.convLayers[static_cast<size_t>(i)];
+            bool first = i == 0;
+            double in_act = first ? 0.0 : act.at(i, step);
+            // Output-gradient sparsity: the layer's own ReLU mask,
+            // approximated by its output activation sparsity (the
+            // next layer's input); zero under BatchNorm.
+            double grad = net.sparseGradients
+                ? act.at(std::min(i + 1, n_kernels - 1), step)
+                : 0.0;
+
+            add(makeConvKernel(layer, Phase::Forward, net.batch),
+                in_act, ws, first, 1.0);
+            if (ev.inferenceOnly)
+                continue;
+            if (!first) {
+                // dX = dY * W^T: dY broadcast (BS), W^T vector (NBS).
+                add(makeConvKernel(layer, Phase::BwdInput, net.batch),
+                    grad, ws, false, 1.0);
+            }
+            // dW = X^T dY: X broadcast (BS), dY vector (NBS).
+            add(makeConvKernel(layer, Phase::BwdWeights, net.batch),
+                in_act, net.sparseGradients ? grad : 0.0, first, 1.0);
+        }
+    } else {
+        for (int i = 0; i < n_kernels; ++i) {
+            const LstmCell &cell = net.cells[static_cast<size_t>(i)];
+            double in_act = act.at(i, step);
+            add(makeLstmKernel(cell, Phase::Forward), in_act, ws, false,
+                1.0);
+            if (ev.inferenceOnly)
+                continue;
+            // The merged LSTM backward computes both dX and dW: twice
+            // the forward GEMM work at gradient/weight sparsity.
+            add(makeLstmKernel(cell, Phase::BwdInput), in_act, ws, false,
+                2.0);
+        }
+    }
+}
+
+/** Inference is the final epoch alone; training is every epoch. */
+int64_t
+firstEpoch(const NetEvaluation &ev)
+{
+    return ev.inferenceOnly ? ev.net->steps() - 1 : 0;
+}
+
+/** Configuration `cfg` (a corners row) of `k` in ns, from its plan's
+ *  key times `t`: mac * (slice * macScale), terms 00, 10, 01, 11. */
+double
+kernelNs(const PlanKernel &k, const std::vector<double> &t, int cfg)
+{
+    const uint32_t *c = k.corners[cfg];
+    double slice = t[c[0]];
+    if (kPlanConfigs[cfg].saveOn)
+        slice = t[c[0]] * (1 - k.dw) * (1 - k.da) +
+                t[c[1]] * k.dw * (1 - k.da) +
+                t[c[2]] * (1 - k.dw) * k.da + t[c[3]] * k.dw * k.da;
+    return k.mac * (slice * k.macScale);
 }
 
 } // namespace
@@ -460,148 +636,23 @@ TrainingEstimator::failureReport() const
     return os.str();
 }
 
-TrainingEstimator::BinWeights
-TrainingEstimator::binWeights(double nbs, double bs) const
-{
-    const int step = opt_.gridStep;
-    const int max_bin = ((SparsitySurface::kGrid - 1) / step) * step;
-    auto bins = [&](double s, int &lo, int &hi, double &frac) {
-        double b = std::clamp(s, 0.0, SparsitySurface::kMax) /
-                   SparsitySurface::kStep;
-        lo = std::min(static_cast<int>(b) / step * step, max_bin);
-        hi = std::min(lo + step, max_bin);
-        frac = hi > lo ? (b - lo) / (hi - lo) : 0.0;
-        frac = std::clamp(frac, 0.0, 1.0);
-    };
-    BinWeights w{};
-    bins(nbs, w.w0, w.w1, w.dw);
-    bins(bs, w.a0, w.a1, w.da);
-    return w;
-}
-
-double
-TrainingEstimator::interpTime(Key key, double nbs, double bs)
-{
-    if (!key.saveOn) {
-        // The baseline pipeline is data-oblivious: one sample serves
-        // every sparsity point.
-        key.wBin = key.aBin = 0;
-        return sliceTime(key);
-    }
-
-    BinWeights w = binWeights(nbs, bs);
-    auto at = [&](int wb, int ab) {
-        Key k = key;
-        k.wBin = static_cast<uint8_t>(wb);
-        k.aBin = static_cast<uint8_t>(ab);
-        return sliceTime(k);
-    };
-    double t00 = at(w.w0, w.a0), t01 = at(w.w0, w.a1);
-    double t10 = at(w.w1, w.a0), t11 = at(w.w1, w.a1);
-    return t00 * (1 - w.dw) * (1 - w.da) + t10 * w.dw * (1 - w.da) +
-           t01 * (1 - w.dw) * w.da + t11 * w.dw * w.da;
-}
-
-TrainingEstimator::Key
-TrainingEstimator::baseKey(const KernelSpec &spec, Precision precision,
-                           double bs, double nbs, bool save_on,
-                           int vpus) const
-{
-    GemmConfig slice = spec.slice(precision, bs, nbs, opt_.kSteps,
-                                  opt_.seed);
-    Key key{};
-    key.mr = slice.mr;
-    key.nr = slice.nrVecs;
-    key.kSteps = slice.kSteps;
-    key.pattern = static_cast<uint8_t>(slice.pattern);
-    key.precision = static_cast<uint8_t>(precision);
-    key.saveOn = save_on ? 1 : 0;
-    key.vpus = static_cast<uint8_t>(vpus);
-    return key;
-}
-
 double
 TrainingEstimator::kernelTime(const KernelSpec &spec, Precision precision,
                               double bs, double nbs, bool save_on,
                               int vpus)
 {
-    GemmConfig slice = spec.slice(precision, bs, nbs, opt_.kSteps,
-                                  opt_.seed);
-    slice.tiles = opt_.tiles;
-
-    Key key = baseKey(spec, precision, bs, nbs, save_on, vpus);
-    double t_slice = interpTime(key, nbs, bs);
-    return t_slice * spec.macScale(slice);
-}
-
-namespace {
-
-/** Route a kernel's time into the right breakdown bucket. */
-void
-bucket(PhaseBreakdown &bd, Phase phase, bool first_layer, double t)
-{
-    if (first_layer)
-        bd.firstLayer += t;
-    else if (phase == Phase::Forward)
-        bd.forward += t;
-    else if (phase == Phase::BwdInput)
-        bd.bwdInput += t;
-    else
-        bd.bwdWeights += t;
-}
-
-} // namespace
-
-void
-TrainingEstimator::forEachKernel(
-    const NetworkModel &net, int64_t step, bool inference_only,
-    const std::function<void(const KernelSpec &, double, double, bool,
-                             double)> &fn) const
-{
-    ActivationProfile act = net.profile();
-    double ws = net.schedule.sparsityAt(step);
-    int n_kernels = net.numKernels();
-
-    if (!net.isLstm()) {
-        for (int i = 0; i < n_kernels; ++i) {
-            const ConvLayer &layer =
-                net.convLayers[static_cast<size_t>(i)];
-            bool first = i == 0;
-            double in_act = first ? 0.0 : act.at(i, step);
-            // Output-gradient sparsity: the layer's own ReLU mask,
-            // approximated by its output activation sparsity (the
-            // next layer's input); zero under BatchNorm.
-            double grad = net.sparseGradients
-                ? act.at(std::min(i + 1, n_kernels - 1), step)
-                : 0.0;
-
-            fn(makeConvKernel(layer, Phase::Forward, net.batch),
-               in_act, ws, first, 1.0);
-            if (inference_only)
-                continue;
-            if (!first) {
-                // dX = dY * W^T: dY broadcast (BS), W^T vector (NBS).
-                fn(makeConvKernel(layer, Phase::BwdInput, net.batch),
-                   grad, ws, false, 1.0);
-            }
-            // dW = X^T dY: X broadcast (BS), dY vector (NBS).
-            fn(makeConvKernel(layer, Phase::BwdWeights, net.batch),
-               in_act, net.sparseGradients ? grad : 0.0, first, 1.0);
-        }
-    } else {
-        for (int i = 0; i < n_kernels; ++i) {
-            const LstmCell &cell = net.cells[static_cast<size_t>(i)];
-            double in_act = act.at(i, step);
-            fn(makeLstmKernel(cell, Phase::Forward), in_act, ws, false,
-               1.0);
-            if (inference_only)
-                continue;
-            // The merged LSTM backward computes both dX and dW: twice
-            // the forward GEMM work at gradient/weight sparsity.
-            fn(makeLstmKernel(cell, Phase::BwdInput), in_act, ws, false,
-               2.0);
-        }
-    }
+    const int cfg = !save_on ? 0 : vpus == 2 ? 1 : 2;
+    if (kPlanConfigs[cfg].vpus != vpus)
+        throw ConfigError("kernelTime: no modelled configuration has " +
+                          std::string(save_on ? "SAVE" : "baseline") +
+                          " with " + std::to_string(vpus) + " VPU(s)");
+    Plan p;
+    planKernel(p, opt_, spec, precision, bs, nbs, false, 1.0);
+    const PlanKernel &k = p.kernels[0];
+    std::vector<double> t(p.keys.size());
+    for (uint32_t i : k.corners[cfg])
+        t[i] = sliceTime(p.keys[i]);
+    return kernelNs(k, t, cfg);
 }
 
 bool
@@ -677,46 +728,15 @@ TrainingEstimator::Prefetch::cancel()
 TrainingEstimator::Prefetch
 TrainingEstimator::prefetch(const std::vector<NetEvaluation> &evals)
 {
-    // Enumerate every surface point the evaluations will touch, in the
-    // deterministic order the serial walk would first request them.
+    // Every plan's keys, in list order: the order the evaluations
+    // first request them (a key an earlier plan holds is skipped by
+    // the claim below).
     std::vector<Key> order;
-    std::set<Key> seen;
-    Precision precision{};
-    auto consider = [&](Key k) {
-        if (seen.insert(k).second)
-            order.push_back(k);
-    };
-    auto add_kernel = [&](const KernelSpec &spec, double bs, double nbs,
-                          bool, double) {
-        struct Cfg
-        {
-            bool saveOn;
-            int vpus;
-        };
-        for (Cfg c : {Cfg{false, 2}, Cfg{true, 2}, Cfg{true, 1}}) {
-            Key key = baseKey(spec, precision, bs, nbs, c.saveOn,
-                              c.vpus);
-            if (!c.saveOn) {
-                key.wBin = key.aBin = 0;
-                consider(key);
-                continue;
-            }
-            BinWeights w = binWeights(nbs, bs);
-            for (int wb : {w.w0, w.w1})
-                for (int ab : {w.a0, w.a1}) {
-                    Key k = key;
-                    k.wBin = static_cast<uint8_t>(wb);
-                    k.aBin = static_cast<uint8_t>(ab);
-                    consider(k);
-                }
-        }
-    };
     for (const NetEvaluation &ev : evals) {
-        precision = ev.precision;
-        const NetworkModel &net = *ev.net;
-        int64_t first_step = ev.inferenceOnly ? net.steps() - 1 : 0;
-        for (int64_t e = first_step; e < net.steps(); ++e)
-            forEachKernel(net, e, ev.inferenceOnly, add_kernel);
+        Plan p;
+        for (int64_t e = firstEpoch(ev); e < ev.net->steps(); ++e)
+            planEpoch(p, opt_, ev, e);
+        order.insert(order.end(), p.keys.begin(), p.keys.end());
     }
 
     // Claim every un-cached point: inserting the shared future under
@@ -755,51 +775,38 @@ TrainingEstimator::prefetch(const std::vector<NetEvaluation> &evals)
     return handle;
 }
 
-void
-TrainingEstimator::addEpoch(const NetworkModel &net, Precision precision,
-                            int64_t step, bool inference_only,
-                            NetResult &acc)
-{
-    PhaseBreakdown epoch2, epoch1; // for the per-epoch static choice
-
-    forEachKernel(
-        net, step, inference_only,
-        [&](const KernelSpec &spec, double bs, double nbs,
-            bool first_layer, double mac_factor) {
-            double tb = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, false, 2);
-            double t2 = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, true, 2);
-            double t1 = mac_factor *
-                        kernelTime(spec, precision, bs, nbs, true, 1);
-            bucket(acc.baseline2, spec.phase, first_layer, tb);
-            bucket(acc.save2, spec.phase, first_layer, t2);
-            bucket(acc.save1, spec.phase, first_layer, t1);
-            bucket(acc.saveDynamic, spec.phase, first_layer,
-                   std::min(t2, t1));
-            bucket(epoch2, spec.phase, first_layer, t2);
-            bucket(epoch1, spec.phase, first_layer, t1);
-        });
-
-    // Static: the better fixed VPU count for this whole epoch.
-    acc.saveStatic +=
-        epoch2.total() <= epoch1.total() ? epoch2 : epoch1;
-}
-
 NetResult
 TrainingEstimator::evaluate(const NetEvaluation &ev)
 {
-    const NetworkModel &net = *ev.net;
+    Plan p;
+    std::vector<double> t; // parallel to p.keys
     NetResult r;
-    if (ev.inferenceOnly) {
-        // Inference has no epoch granularity: static == the better
-        // fixed configuration == what addEpoch already computed.
-        addEpoch(net, ev.precision, net.steps() - 1, true, r);
-        return r;
+    for (int64_t e = firstEpoch(ev); e < ev.net->steps(); ++e) {
+        planEpoch(p, opt_, ev, e);
+        // One sliceTime per key, in first-request order.
+        while (t.size() < p.keys.size())
+            t.push_back(sliceTime(p.keys[t.size()]));
+        // The replay reads only `t`: no lock, no map, no GemmConfig.
+        PhaseBreakdown epoch2, epoch1; // for the per-epoch static choice
+        for (const PlanKernel &k : p.kernels) {
+            double t2 = kernelNs(k, t, 1);
+            double t1 = kernelNs(k, t, 2);
+            r.baseline2.*k.part += kernelNs(k, t, 0);
+            r.save2.*k.part += t2;
+            r.save1.*k.part += t1;
+            r.saveDynamic.*k.part += std::min(t2, t1);
+            epoch2.*k.part += t2;
+            epoch1.*k.part += t1;
+        }
+        // Static: the better fixed VPU count for this whole epoch.
+        r.saveStatic +=
+            epoch2.total() <= epoch1.total() ? epoch2 : epoch1;
     }
-    for (int64_t e = 0; e < net.steps(); ++e)
-        addEpoch(net, ev.precision, e, false, r);
-    double inv = 1.0 / static_cast<double>(net.steps());
+    // Inference has no epoch granularity: static == the better fixed
+    // configuration, and there is nothing to average.
+    if (ev.inferenceOnly)
+        return r;
+    double inv = 1.0 / static_cast<double>(ev.net->steps());
     r.baseline2 *= inv;
     r.save2 *= inv;
     r.save1 *= inv;

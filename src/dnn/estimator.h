@@ -14,15 +14,16 @@
  * share a slice surface and differ only by their MAC-count scale
  * (DESIGN.md substitution 5).
  *
- * The surface points of a network are hundreds of *independent*,
- * seeded slice simulations, so the estimator enumerates them up front
- * (deterministically) — for one network or a whole sweep of them —
- * and queues them as batches that the host thread pool and every
- * waiting caller drain; the serial accumulation that follows reads
- * only cached values, so results are bit-identical for any thread
- * count. With a cache directory configured (SAVE_CACHE_DIR or
- * EstimatorOptions::cacheDir) surfaces persist across process runs.
- * See DESIGN.md, "Parallel estimator".
+ * One walk plans each evaluation: its distinct surface points in
+ * first-request order, plus one record per kernel per epoch. The points
+ * are hundreds of *independent*, seeded slice simulations, so the
+ * estimator claims every plan's points up front — for one network or a
+ * whole sweep — as batches that the host thread pool and every waiting
+ * caller drain; each evaluation then reads each point once and replays
+ * its records serially, epoch by epoch, so results are bit-identical
+ * for any thread count. With a cache directory configured
+ * (SAVE_CACHE_DIR or EstimatorOptions::cacheDir) surfaces persist
+ * across process runs. See DESIGN.md, "Parallel estimator".
  *
  * Operating points (Fig. 14): the baseline machine (2 VPUs, 1.7GHz),
  * SAVE with 2 VPUs, SAVE with 1 VPU at 2.1GHz (SecIV-D), `static`
@@ -224,8 +225,10 @@ class TrainingEstimator
         const std::function<void(size_t, const NetResult &)> &onResult);
 
     /**
-     * Time of one kernel at given sparsities (ns, full layer).
-     * save_on selects the SAVE feature set vs the baseline pipeline.
+     * Time of one kernel at given sparsities (ns, full layer): a
+     * one-kernel plan that resolves only the asked configuration's
+     * keys. (save_on, vpus) must be a modelled one: baseline with 2
+     * VPUs or SAVE with 2 or 1; any other throws ConfigError.
      */
     double kernelTime(const KernelSpec &spec, Precision precision,
                       double bs, double nbs, bool save_on, int vpus);
@@ -307,24 +310,18 @@ class TrainingEstimator
         std::shared_ptr<FanOut> fan_;
     };
 
-    /** Claim every surface point the evaluations will touch that no
-     *  one claimed yet (in first-request order), batch the claims by
-     *  micro-kernel shape and queue the batches for the pool, plus any
-     *  sliceTime() waiter, to drain. Returns without waiting. */
+    /** Claim every plan key no one claimed yet, in first-request
+     *  order, batch the claims by micro-kernel shape and queue the
+     *  batches for the pool, plus any sliceTime() waiter, to drain.
+     *  Returns without waiting. */
     [[nodiscard]] Prefetch
     prefetch(const std::vector<NetEvaluation> &evals);
 
-    /** One evaluation: claims and simulates inline any point no
-     *  prefetch queued, and waits on (helping drain) the queued ones. */
+    /** One evaluation, planned one epoch at a time: one sliceTime()
+     *  per new plan key (simulating inline a point no prefetch queued,
+     *  helping drain the queued ones), then a lock-free replay of the
+     *  epoch's records. */
     NetResult evaluate(const NetEvaluation &ev);
-
-    /** Sparsity-bin corners + interpolation weights for one lookup. */
-    struct BinWeights
-    {
-        int w0, w1, a0, a1;
-        double dw, da;
-    };
-    BinWeights binWeights(double nbs, double bs) const;
 
     /** Run one slice simulation (pure: no estimator state touched;
      *  the worker builds its own short-lived Engine). */
@@ -367,24 +364,6 @@ class TrainingEstimator
     /** Simulated slice time in ns at binned sparsities; single-flight
      *  cached so concurrent callers never duplicate a simulation. */
     double sliceTime(const Key &key);
-    /** gridStep-aware bilinear interpolation over slice times. */
-    double interpTime(Key key, double nbs, double bs);
-
-    /** Key for one kernel invocation before sparsity binning. */
-    Key baseKey(const KernelSpec &spec, Precision precision,
-                double bs, double nbs, bool save_on, int vpus) const;
-
-    /** Invoke fn for every kernel evaluation of one epoch, in the
-     *  exact order addEpoch accumulates them. */
-    void forEachKernel(
-        const NetworkModel &net, int64_t step, bool inference_only,
-        const std::function<void(const KernelSpec &, double bs,
-                                 double nbs, bool first_layer,
-                                 double mac_factor)> &fn) const;
-
-    /** Accumulate one epoch of one network into the result. */
-    void addEpoch(const NetworkModel &net, Precision precision,
-                  int64_t step, bool inference_only, NetResult &acc);
 
     MachineConfig mcfg_;
     SaveConfig save_cfg_;

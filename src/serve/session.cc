@@ -102,10 +102,8 @@ SimSession::estimatorFor(const Fig14Knobs &k)
     eo.cores = k.cores;
     eo.seed = k.seed;
     std::string iso = fig14IsolationName(k.isolation);
-    eo.isolation = iso.empty()
-                       ? opt_.runtime.resolveIsolation()
-                       : RuntimeOptions{.isolation = iso}
-                             .resolveIsolation();
+    eo.isolation = iso.empty() ? opt_.runtime.resolveIsolation()
+                               : resolveIsolation(iso);
     eo.proc.workerBin = opt_.runtime.workerBin;
     eo.validate();
 

@@ -111,14 +111,15 @@ ShardCoordinator::claim(int max)
             if (p.phase != PointPhase::Pending)
                 continue;
             p.phase = PointPhase::InFlight;
-            ++p.attempts;
+            ++p.holders;
             p.dispatchNs = nowNs();
             got.push_back(i);
         }
         if (got.empty() && opt_.stragglerMs > 0) {
             // Nothing pending but work still in flight: steal the
-            // oldest straggler(s). First completion wins; results are
-            // bit-identical, so the duplicate is merely wasted work.
+            // oldest straggler(s), charging nothing. First completion
+            // wins; results are bit-identical, so the duplicate is
+            // merely wasted work.
             const uint64_t now = nowNs();
             const uint64_t limit =
                 static_cast<uint64_t>(opt_.stragglerMs) * 1000000ull;
@@ -130,7 +131,7 @@ ShardCoordinator::claim(int max)
                 if (p.phase != PointPhase::InFlight ||
                     now - p.dispatchNs <= limit)
                     continue;
-                ++p.attempts;
+                ++p.holders;
                 p.dispatchNs = now;
                 ++stats_.speculative;
                 got.push_back(i);
@@ -155,7 +156,7 @@ ShardCoordinator::complete(uint32_t idx, const NetResult &r)
     p.phase = PointPhase::Done;
     p.result = r;
     --remaining_;
-    ledger_.record(fig14Points()[idx].key, r, p.attempts);
+    ledger_.record(fig14Points()[idx].key, r, p.attempts + 1);
     cv_.notify_all();
 }
 
@@ -164,11 +165,9 @@ ShardCoordinator::requeue(uint32_t idx)
 {
     std::lock_guard<std::mutex> lk(mu_);
     Point &p = points_[idx];
-    if (p.phase == PointPhase::Done)
+    // Load-shed or returned unworked: deferred, not tried.
+    if (p.phase == PointPhase::Done || --p.holders > 0)
         return;
-    // Undo the claim's attempt charge: the point was never tried
-    // (load-shed or returned unworked), only deferred.
-    --p.attempts;
     p.phase = PointPhase::Pending;
     cv_.notify_all();
 }
@@ -181,7 +180,13 @@ ShardCoordinator::requeueFailure(uint32_t idx, const std::string &reason)
     if (p.phase == PointPhase::Done)
         return;
     ++stats_.requeues;
-    if (p.attempts >= opt_.maxAttempts) {
+    ++p.attempts;
+    if (--p.holders > 0) {
+        // Another dispatch still works on it: leave it in flight there.
+        SAVE_WARN("shard point '", fig14Points()[idx].key,
+                  "' dispatch failed: ", reason,
+                  "; another dispatch still holds it");
+    } else if (p.attempts >= opt_.maxAttempts) {
         // Budget exhausted: a permanent point failure with a
         // value-initialized result, so the rest of the sweep (and the
         // report) still completes.
@@ -362,7 +367,11 @@ ShardCoordinator::run()
     const std::vector<Fig14Point> &pts = fig14Points();
     points_.assign(pts.size(), Point{});
     remaining_ = pts.size();
-    stats_ = Stats{};
+    {
+        // stats() may be polled from another thread while a run starts.
+        std::lock_guard<std::mutex> lk(mu_);
+        stats_ = Stats{};
+    }
     for (uint32_t i = 0; i < pts.size(); ++i)
         if (ledger_.resume(pts[i].key, points_[i].result)) {
             points_[i].phase = PointPhase::Done;

@@ -33,20 +33,21 @@
  *  - a load-shed (Busy) reply or a refused connection (the batch
  *    never reached a daemon) hands the points back without charging
  *    an attempt;
- *  - any other failure re-queues the unfinished points, with a
- *    bounded per-point dispatch budget (`maxAttempts`); past it the
- *    point is a permanent failure in the sweep ledger and yields a
- *    value-initialized result, so the rest of the sweep still
- *    completes;
+ *  - any other failure charges each unfinished point one attempt and
+ *    re-queues it, unless another dispatch still holds it (then it
+ *    stays in flight there); with a bounded per-point fault budget
+ *    (`maxAttempts`), past which a point no one holds is a permanent
+ *    failure in the sweep ledger and yields a value-initialized
+ *    result, so the rest of the sweep still completes;
  *  - a daemon that fails `kMaxBackendFaults` consecutive dispatches
  *    (faults, Busy replies and refused connections all count), or
  *    whose status probe reports a protocol version other than
  *    kServeVersion, is excluded with a warning:
  *    graceful degradation to the remaining backends;
  *  - a straggler (a dispatched point older than `stragglerMs`) is
- *    speculatively re-dispatched to any idle backend; the first
- *    completion wins and the duplicate is discarded (results are
- *    bit-identical, so the race is benign).
+ *    speculatively re-dispatched to any idle backend, charging no
+ *    attempt; the first completion wins and the duplicate is
+ *    discarded (results are bit-identical, so the race is benign).
  *
  * Journal, resume and pass/fail go through a SweepLedger under
  * fig14SweepHash, as in bench_fig14: a coordinator killed mid-sweep
@@ -87,7 +88,7 @@ class ShardCoordinator
         int inprocLanes = 1;
         /** Max points per daemon dispatch (one sweep request). */
         int batch = 4;
-        /** Per-point dispatch budget before a permanent failure. */
+        /** Per-point fault budget before a permanent failure. */
         int maxAttempts = 3;
         /** Speculatively re-dispatch a point in flight longer than
          *  this; 0 disables straggler rebalance. */
@@ -149,7 +150,8 @@ class ShardCoordinator
     struct Point
     {
         PointPhase phase = PointPhase::Pending;
-        int attempts = 0;
+        int attempts = 0; ///< faulted dispatches
+        int holders = 0;  ///< dispatches in flight, speculative too
         uint64_t dispatchNs = 0;
         NetResult result{};
     };
@@ -159,9 +161,11 @@ class ShardCoordinator
      *  the run turned fatal; an empty result means "stop". */
     std::vector<uint32_t> claim(int max);
     void complete(uint32_t idx, const NetResult &r);
-    /** Re-queue after a fault; past the attempt budget the point is
-     *  finished as a permanent failure. */
+    /** A dispatch of `idx` faulted: charge one attempt. A point no
+     *  other dispatch holds re-queues, or past the budget is finished
+     *  as a permanent failure. */
     void requeueFailure(uint32_t idx, const std::string &reason);
+    /** A dispatch handed `idx` back unworked: no charge. */
     void requeue(uint32_t idx);
     void setFatal(const std::string &msg);
     /** A backend is gone; with none left and work outstanding the

@@ -1,14 +1,21 @@
 /**
  * @file
  * Unit tests for the DNN model layer: pruning schedules, activation
- * profiles, network tables, sparsity surfaces, and the estimator.
+ * profiles, network tables, sparsity surfaces, and the estimator
+ * (including a bit-exact golden of every Fig. 14 point's NetResult).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+
 #include "dnn/estimator.h"
+#include "dnn/fig14_report.h"
 #include "dnn/networks.h"
 #include "dnn/surface.h"
+#include "util/error.h"
 
 namespace save {
 namespace {
@@ -181,6 +188,7 @@ class EstimatorTest : public ::testing::Test
         opt_.kSteps = 24;
         opt_.tiles = 1;
         opt_.gridStep = 9; // only 0% and 90% bins: fast
+        opt_.cacheDir = "none"; // hermetic: SAVE_CACHE_DIR is ignored
         est_ = std::make_unique<TrainingEstimator>(MachineConfig{},
                                                    SaveConfig{}, opt_);
     }
@@ -227,6 +235,19 @@ TEST_F(EstimatorTest, InterpolationBetweenBins)
     EXPECT_NEAR(mid, (lo + hi) / 2, 1e-6);
 }
 
+TEST_F(EstimatorTest, KernelTimeRejectsUnmodelledConfiguration)
+{
+    KernelSpec spec = makeConvKernel(
+        vgg16Dense().convLayers[4], Phase::Forward, 8);
+    EXPECT_THROW(est_->kernelTime(spec, Precision::Fp32, 0.0, 0.0, false,
+                                  1),
+                 ConfigError);
+    EXPECT_THROW(est_->kernelTime(spec, Precision::Fp32, 0.0, 0.0, true,
+                                  4),
+                 ConfigError);
+    EXPECT_EQ(est_->simulations(), 0u);
+}
+
 TEST_F(EstimatorTest, DynamicIsBestPerKernel)
 {
     NetworkModel net = vgg16Dense();
@@ -268,6 +289,88 @@ TEST_F(EstimatorTest, CacheSharedAcrossLayersWithSameShape)
     uint64_t sims1 = est_->simulations();
     est_->inference(net, Precision::Fp32);
     EXPECT_EQ(est_->simulations(), sims1); // fully cached second time
+}
+
+// ---------------------------------------------------------------------
+// Behaviour lock: every NetResult field of all 16 Fig. 14 points, and
+// the three configurations' times of every studied kernel at two
+// off-grid sparsity pairs, are pinned bit for bit (hex floats) against
+// tests/corpus/estimator-netresults.golden. The CI byte diffs only
+// compare front ends with each other and the report rounds to 2-3
+// decimals, so a reordered interpolation or accumulation passes them
+// all. The kernel lines are there because a whole-network sum absorbs
+// a one-ulp change in one kernel's interpolated time.
+// ---------------------------------------------------------------------
+
+std::string
+hexLine(const std::string &label, std::initializer_list<double> vs)
+{
+    std::string line = label + " |";
+    char buf[64];
+    for (double v : vs) {
+        std::snprintf(buf, sizeof buf, " %a", v);
+        line += buf;
+    }
+    return line + "\n";
+}
+
+/** The golden text as this build computes it with `threads` threads. */
+std::string
+goldenText(int threads)
+{
+    EstimatorOptions o;
+    o.gridStep = 3;
+    o.kSteps = 24;
+    o.tiles = 1;
+    o.threads = threads;
+    o.cacheDir = "none";
+    TrainingEstimator est(MachineConfig{}, SaveConfig{}, o);
+
+    const std::vector<Fig14Point> &pts = fig14Points();
+    std::vector<NetEvaluation> evals;
+    for (const Fig14Point &p : pts)
+        evals.push_back(fig14Evaluation(p));
+    std::string out;
+    est.evaluateEach(evals, [&](size_t i, const NetResult &r) {
+        const std::pair<const char *, const PhaseBreakdown *> ops[] = {
+            {"baseline2", &r.baseline2}, {"save2", &r.save2},
+            {"save1", &r.save1},         {"static", &r.saveStatic},
+            {"dynamic", &r.saveDynamic}};
+        for (const auto &[name, b] : ops)
+            out += hexLine(pts[i].key + " | " + name,
+                           {b->firstLayer, b->forward, b->bwdInput,
+                            b->bwdWeights});
+    });
+
+    // baseline2, then save2 and save1 at each (bs, nbs) pair.
+    for (Precision prec : {Precision::Fp32, Precision::Bf16})
+        for (const KernelSpec &k : allStudiedKernels()) {
+            auto t = [&](double bs, double nbs, bool save_on, int vpus) {
+                return est.kernelTime(k, prec, bs, nbs, save_on, vpus);
+            };
+            out += hexLine("kernel " + k.name + " " +
+                               (prec == Precision::Bf16 ? "bf16" : "fp32"),
+                           {t(0, 0, false, 2), t(0.17, 0.43, true, 2),
+                            t(0.17, 0.43, true, 1), t(0.52, 0.81, true, 2),
+                            t(0.52, 0.81, true, 1)});
+        }
+    return out;
+}
+
+TEST(EstimatorGolden, Fig14NetResultsAreBitExact)
+{
+    const std::string path = std::string(SAVE_CORPUS_DIR) +
+                             "/estimator-netresults.golden";
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    const std::string golden((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    for (int threads : {1, 4}) {
+        const std::string got = goldenText(threads);
+        // On mismatch the message carries the whole file as computed.
+        EXPECT_EQ(got, golden) << threads << " thread(s) differ from "
+                               << path << "; got:\n" << got;
+    }
 }
 
 } // namespace

@@ -99,6 +99,7 @@ TEST(EstimatorGnmt, TrainingStaticBeatsBothFixedConfigs)
     opt.kSteps = 24;
     opt.tiles = 1;
     opt.gridStep = 9;
+    opt.cacheDir = "none"; // hermetic: SAVE_CACHE_DIR is ignored
     TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
 
     NetworkModel net = gnmtPruned();
@@ -126,6 +127,7 @@ TEST(EstimatorGnmt, InferenceSpeedupGrowsWithPruning)
     opt.kSteps = 24;
     opt.tiles = 1;
     opt.gridStep = 9;
+    opt.cacheDir = "none"; // hermetic: SAVE_CACHE_DIR is ignored
     TrainingEstimator est(MachineConfig{}, SaveConfig{}, opt);
 
     NetworkModel net = gnmtPruned();

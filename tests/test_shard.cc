@@ -602,6 +602,53 @@ TEST(ShardCoordinator, StragglerRebalance)
     EXPECT_GE(coord.stats().speculative, 1u);
 }
 
+TEST(ShardCoordinator, FaultingStragglerLeavesStolenPointsInFlight)
+{
+    // Daemon A sits on its batch; daemon B finishes its own, then
+    // steals A's points and holds each for its 150 ms delay. A is
+    // killed right after the steal: its fault charges the batch one
+    // attempt each, and since B still holds those points they stay in
+    // flight with B. Charging the steal too (or failing a point B
+    // still holds) would push every stolen point past a budget of 2.
+    std::string sa = socketPath("steal_a");
+    std::string sb = socketPath("steal_b");
+    DaemonProc a, b;
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS", "20000", 1);
+    a.start(sa, {"--workers=1"});
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS", "150", 1);
+    b.start(sb, {"--workers=1"});
+    ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
+    ASSERT_TRUE(a.waitReady());
+    ASSERT_TRUE(b.waitReady());
+
+    ShardCoordinator::Options o = quickOptions();
+    o.inprocLanes = 0;
+    o.sockets = {sa, sb};
+    o.batch = 8;
+    o.stragglerMs = 100;
+    o.maxAttempts = 2;
+    o.rpcTimeoutMs = 60000;
+    ShardCoordinator coord(std::move(o));
+
+    std::atomic<bool> done{false};
+    std::thread killer([&] {
+        while (!done.load() && coord.stats().speculative == 0)
+            ::usleep(1000);
+        a.kill9();
+    });
+    const std::string report = coord.run();
+    done.store(true);
+    killer.join();
+
+    EXPECT_EQ(report, referenceReport());
+    EXPECT_GE(coord.stats().speculative, 1u);
+    EXPECT_GE(coord.stats().requeues, 1u);
+    EXPECT_TRUE(coord.stats().failures.empty())
+        << coord.stats().failures.size() << " point(s) failed, first: "
+        << coord.stats().failures.front().key;
+    EXPECT_EQ(coord.ledger().computed(), fig14Points().size());
+}
+
 TEST(ShardCoordinator, VersionSkewExcludesBackend)
 {
     // A peer whose status probe reports another protocol version is
@@ -738,10 +785,19 @@ TEST(ShardCoordinator, CoordinatorKillThenJournalResume)
     std::string jpath = dir + "/sweep.journal";
 
     // Run the real binary and SIGKILL it once the journal shows
-    // progress (a coordinator crash, not a graceful stop).
-    pid_t pid = spawnSweep(SAVE_SHARD_BIN_PATH,
-                           {"--inproc=1", "--journal=" + jpath},
-                           dir + "/out1", dir + "/err1");
+    // progress (a coordinator crash, not a graceful stop). A daemon
+    // that sits on its batch keeps the run from finishing first,
+    // however fast the in-process lane clears the rest.
+    const std::string s = socketPath("kill");
+    ::setenv("SAVE_SERVE_TEST_POINT_DELAY_MS", "60000", 1);
+    DaemonProc d;
+    d.start(s, {"--workers=1"});
+    ::unsetenv("SAVE_SERVE_TEST_POINT_DELAY_MS");
+    ASSERT_TRUE(d.waitReady());
+    pid_t pid = spawnSweep(
+        SAVE_SHARD_BIN_PATH,
+        {"--inproc=1", "--sockets=" + s, "--journal=" + jpath},
+        dir + "/out1", dir + "/err1");
     ASSERT_GT(pid, 0);
     bool progressed = false;
     for (int waited = 0; waited < 120000; waited += 50) {
